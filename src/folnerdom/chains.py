@@ -166,6 +166,7 @@ def support_generates(chain: Chain, target: FiniteSubset, max_size: int) -> bool
 
 
 def _rat(q: Fraction) -> dict:
+    """JSON form of a rational: numerator and denominator as strings."""
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 

@@ -1,10 +1,17 @@
 """Configuration-driven command line: census, chain, dominate, simulate, sweep.
 
-Every run is a pure function of (config, seed): outputs are byte-identical
-across repeats.  Exit codes: 0 all checks pass, 2 a certified check failed,
-3 a size/budget cap stopped the run.  Certificate fields serialize
-rationals as {"num": ..., "den": ...} string pairs; floats never appear in
-them.
+This is the package's only front end.  Every run is a pure function of
+(config, seed): output files are byte-identical across repeats.  Exit
+codes: 0 all checks pass, 2 a certified check failed, 3 a size/budget cap
+stopped the run.  ``main`` is the single place where a cap hit
+(SizeCapExceeded, from any stage of any subcommand) becomes exit 3 and a
+``budget:`` line on stderr.
+
+Certificate fields serialize rationals as {"num": ..., "den": ...} string
+pairs and CSV cells as "num/den"; floats never appear in them.  Float
+diagnostics go to stdout only: ``dominate`` prints min_scaled*|E_n|/|F_n|
+per level against the limit (1/4)(1 - 3/e^2), and ``sweep`` prints the
+(1-r_n)^N(n) vs e^(-r_n N(n)) rows of each tail base.
 """
 
 from __future__ import annotations
@@ -30,8 +37,14 @@ from .actions import (
     weak11_probe,
     zd_mod_action,
 )
-from .chains import Chain, build_chain, chain_manifest, lamplighter_folner
-from .dominance import dominance_report, report_to_dict
+from .chains import Chain, _rat, build_chain, chain_manifest, lamplighter_folner
+from .dominance import (
+    DominanceReport,
+    dominance_report,
+    limit_diagnostics,
+    reference_constant,
+    report_to_dict,
+)
 from .errors import SizeCapExceeded
 from .groups import Group, group_from_token, word_ball
 from .measures import FinSupMeasure
@@ -43,12 +56,9 @@ EXIT_FAIL = 2
 EXIT_BUDGET = 3
 
 
-def _rat(q: Fraction) -> dict:
-    return {"num": str(q.numerator), "den": str(q.denominator)}
-
-
-def _parse_rat(s) -> Fraction:
-    return Fraction(s)
+def _cell(q: Fraction | None) -> str:
+    """CSV form of a rational: "num/den" (always with the "/1"), None as "inf"."""
+    return "inf" if q is None else f"{q.numerator}/{q.denominator}"
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -95,7 +105,11 @@ def _folner_sets(cfg: dict, group: Group, cap: int | None) -> list[FiniteSubset]
             raise ValueError("folner.indices required for kind=lamplighter")
         return [lamplighter_folner(n, cap)[1] for n in indices]
     if kind == "custom":
-        return [FiniteSubset.deserialize(open(p).read()) for p in fol.get("files", [])]
+        sets = []
+        for p in fol.get("files", []):
+            with open(p) as fh:
+                sets.append(FiniteSubset.deserialize(fh.read()))
+        return sets
     raise ValueError(f"unknown folner kind {kind!r}")
 
 
@@ -124,10 +138,17 @@ def _observable_from(spec: dict, act: FiniteAction) -> Observable:
     if kind == "indicator":
         return Observable.indicator(act.size, spec.get("states", [0]))
     if kind == "function":
-        return Observable.function(_parse_rat(v) for v in spec["values"])
+        return Observable.function(Fraction(v) for v in spec["values"])
     if kind == "matrix":
-        return Observable.matrix([[_parse_rat(v) for v in row] for row in spec["rows"]])
+        return Observable.matrix([[Fraction(v) for v in row] for row in spec["rows"]])
     raise ValueError(f"unknown observable kind {kind!r}")
+
+
+def certify_levels(chain: Chain, cap: int | None) -> tuple[list[DominanceReport], int]:
+    """The certificates of levels 2..depth and the worst exit code among them."""
+    reports = [dominance_report(chain, n, cap) for n in range(2, chain.depth + 1)]
+    worst = EXIT_PASS if all(rep.verdict == "pass" for rep in reports) else EXIT_FAIL
+    return reports, worst
 
 
 # -- subcommands -----------------------------------------------------------
@@ -139,22 +160,18 @@ def cmd_census(cfg: dict, out: str, cap: int | None, depth: int | None, seed: in
     nmax = depth or cfg.get("census", {}).get("max_index", 6)
     rows = ["n,card_ftilde,formula_ftilde,card_f,formula_f,match"]
     all_match = True
-    try:
-        if group.kind == "lamplighter":
-            for n in range(1, nmax + 1):
-                ft, f = lamplighter_folner(n, cap)
-                m = len(ft) == ftilde_size(n) and len(f) == fn_size(n)
-                all_match = all_match and m
-                rows.append(
-                    f"{n},{len(ft)},{ftilde_size(n)},{len(f)},{fn_size(n)},{str(m).lower()}"
-                )
-        else:
-            rows = ["n,card_ball"]
-            for n in range(0, nmax + 1):
-                rows.append(f"{n},{len(word_ball(group, n, cap))}")
-    except SizeCapExceeded as exc:
-        print(f"budget: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    if group.kind == "lamplighter":
+        for n in range(1, nmax + 1):
+            ft, f = lamplighter_folner(n, cap)
+            m = len(ft) == ftilde_size(n) and len(f) == fn_size(n)
+            all_match = all_match and m
+            rows.append(
+                f"{n},{len(ft)},{ftilde_size(n)},{len(f)},{fn_size(n)},{str(m).lower()}"
+            )
+    else:
+        rows = ["n,card_ball"]
+        for n in range(0, nmax + 1):
+            rows.append(f"{n},{len(word_ball(group, n, cap))}")
     atomic_write(os.path.join(out, "census.csv"), "\n".join(rows) + "\n")
     return EXIT_PASS if all_match else EXIT_FAIL
 
@@ -163,35 +180,31 @@ def cmd_chain(cfg: dict, out: str, cap: int | None, depth: int | None, seed: int
     """Optionally extract a subsequence, then build E_n, omega, manifest."""
     group = group_from_token(cfg["group"])
     sched = _schedule_from(cfg, depth)
-    try:
-        Fsub = _folner_sets(cfg, group, cap)
-        ex = cfg.get("extract")
-        if ex:
-            res = extract_subsequence(
-                enumerate(Fsub, 1),
-                sched.N,
-                sched.eps,
-                depth=sched.depth,
-                budget=ex.get("budget", 64),
-                cap=cap,
-            )
-            if res.status != "ok":
-                best = "none" if res.best_ratio is None else str(res.best_ratio)
-                atomic_write(
-                    os.path.join(out, "chain.json"),
-                    json.dumps(
-                        {"schema": 1, "status": "budget", "best_ratio": best},
-                        indent=2,
-                        sort_keys=True,
-                    )
-                    + "\n",
+    Fsub = _folner_sets(cfg, group, cap)
+    ex = cfg.get("extract")
+    if ex:
+        res = extract_subsequence(
+            enumerate(Fsub, 1),
+            sched.N,
+            sched.eps,
+            depth=sched.depth,
+            budget=ex.get("budget", 64),
+            cap=cap,
+        )
+        if res.status != "ok":
+            best = "none" if res.best_ratio is None else str(res.best_ratio)
+            atomic_write(
+                os.path.join(out, "chain.json"),
+                json.dumps(
+                    {"schema": 1, "status": "budget", "best_ratio": best},
+                    indent=2,
+                    sort_keys=True,
                 )
-                return EXIT_BUDGET
-            Fsub = [s.folner_set for s in res.steps]
-        chain = build_chain(Fsub, sched, sched.depth, cap)
-    except SizeCapExceeded as exc:
-        print(f"budget: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+                + "\n",
+            )
+            return EXIT_BUDGET
+        Fsub = [s.folner_set for s in res.steps]
+    chain = build_chain(Fsub, sched, sched.depth, cap)
     set_files = {}
     for n in range(1, chain.depth + 1):
         Fn, En = chain.level(n)
@@ -206,32 +219,24 @@ def cmd_chain(cfg: dict, out: str, cap: int | None, depth: int | None, seed: int
 
 def cmd_dominate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: int) -> int:
     """Per-level dominance certificates; nonzero exit if any level fails."""
-    try:
-        chain = _build_chain(cfg, cap, depth)
-    except SizeCapExceeded as exc:
-        print(f"budget: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    levels = []
+    chain = _build_chain(cfg, cap, depth)
+    reports, worst = certify_levels(chain, cap)
     csv = ["n,card_F,card_E,N,min_scaled,bound,c_emp,verdict,taint"]
-    worst = EXIT_PASS
-    for n in range(2, chain.depth + 1):
-        rep = dominance_report(chain, n, cap)
-        levels.append(report_to_dict(rep))
-        c = "inf" if rep.c_emp is None else f"{rep.c_emp.numerator}/{rep.c_emp.denominator}"
+    for rep in reports:
         csv.append(
-            f"{n},{rep.card_F},{rep.card_E},{rep.N},"
-            f"{rep.min_scaled.numerator}/{rep.min_scaled.denominator},"
-            f"{rep.bound.numerator}/{rep.bound.denominator},{c},{rep.verdict},"
-            f"{str(rep.tainted).lower()}"
+            f"{rep.n},{rep.card_F},{rep.card_E},{rep.N},{_cell(rep.min_scaled)},"
+            f"{_cell(rep.bound)},{_cell(rep.c_emp)},{rep.verdict},{str(rep.tainted).lower()}"
         )
-        if rep.verdict != "pass":
-            worst = EXIT_FAIL
+        print(
+            f"n={rep.n} min_scaled*|E_n|/|F_n|={float(rep.scaled_by_envelope()):.7f} "
+            f"limit (1/4)(1-3/e^2)={reference_constant():.7f}"
+        )
     doc = {
         "schema": 1,
         "group": chain.group.token(),
         "depth": chain.depth,
         "omega_total_mass": _rat(chain.omega.total_mass),
-        "levels": levels,
+        "levels": [report_to_dict(rep) for rep in reports],
     }
     atomic_write(os.path.join(out, "dominance.json"), json.dumps(doc, indent=2, sort_keys=True) + "\n")
     atomic_write(os.path.join(out, "dominance.csv"), "\n".join(csv) + "\n")
@@ -244,12 +249,8 @@ def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
     act = _action_from(cfg)
     rng = random.Random(seed)
     failures = 0
-    try:
-        chain = _build_chain(cfg, cap, depth)
-        rep = dominance_report(chain, chain.depth, cap)
-    except SizeCapExceeded as exc:
-        print(f"budget: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    chain = _build_chain(cfg, cap, depth)
+    rep = dominance_report(chain, chain.depth, cap)
     if rep.c_emp is None or rep.verdict != "pass":
         print("dominance certificate failed; cannot transfer", file=sys.stderr)
         return EXIT_FAIL
@@ -308,20 +309,19 @@ def cmd_sweep(cfg: dict, out: str, cap: int | None, depth: int | None, seed: int
     for c in bases:
         local = dict(cfg)
         local["schedule"] = dict(cfg.get("schedule", {}), tail_base=c)
-        try:
-            chain = _build_chain(local, cap, depth)
-        except SizeCapExceeded as exc:
-            print(f"budget: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
-        for n in range(2, chain.depth + 1):
-            rep = dominance_report(chain, n, cap)
-            ce = "inf" if rep.c_emp is None else f"{rep.c_emp.numerator}/{rep.c_emp.denominator}"
+        chain = _build_chain(local, cap, depth)
+        reports, code = certify_levels(chain, cap)
+        worst = max(worst, code)
+        for rep in reports:
             rows.append(
-                f"{c},{n},{rep.min_scaled.numerator}/{rep.min_scaled.denominator},"
-                f"{rep.bound.numerator}/{rep.bound.denominator},{ce},{rep.verdict}"
+                f"{c},{rep.n},{_cell(rep.min_scaled)},{_cell(rep.bound)},"
+                f"{_cell(rep.c_emp)},{rep.verdict}"
             )
-            if rep.verdict != "pass":
-                worst = EXIT_FAIL
+        for row in limit_diagnostics(chain.schedule, range(2, chain.depth + 1)):
+            print(
+                f"tail_base={c} n={row['n']} r_N={row['r_N']:.4f} (1-r)^N={row['pow']:.6f} "
+                f"e^-rN={row['limit']:.6f} gap={row['gap']:.2e}"
+            )
     atomic_write(os.path.join(out, "sweep.csv"), "\n".join(rows) + "\n")
     return worst
 
@@ -347,7 +347,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "simulate": cmd_simulate,
         "sweep": cmd_sweep,
     }[args.command]
-    return handler(cfg, args.out, args.cap, args.depth, args.seed)
+    try:
+        return handler(cfg, args.out, args.cap, args.depth, args.seed)
+    except SizeCapExceeded as exc:
+        print(f"budget: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

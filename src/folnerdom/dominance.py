@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import Chain
+from .chains import Chain, _rat
 from .measures import FinSupMeasure, cesaro_density, convolution_powers, convolve_at
 from .sets import FiniteSubset
 from .schedules import Schedule
@@ -168,18 +168,14 @@ def dominance_report(chain: Chain, n: int, cap: int | None = None) -> DominanceR
 
 def report_to_dict(rep: DominanceReport) -> dict:
     """JSON-ready form; rationals as numerator/denominator string pairs."""
-
-    def rat(q: Fraction) -> dict:
-        return {"num": str(q.numerator), "den": str(q.denominator)}
-
     return {
         "n": rep.n,
         "card_F": rep.card_F,
         "card_E": rep.card_E,
         "N": rep.N,
-        "min_scaled": rat(rep.min_scaled),
-        "bound": rat(rep.bound),
-        "c_emp": "inf" if rep.c_emp is None else rat(rep.c_emp),
+        "min_scaled": _rat(rep.min_scaled),
+        "bound": _rat(rep.bound),
+        "c_emp": "inf" if rep.c_emp is None else _rat(rep.c_emp),
         "verdict": rep.verdict,
         "tainted": rep.tainted,
         "truncation_depth": rep.truncation_depth,

@@ -7,6 +7,8 @@ tests and the acceptance suite alike.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from folnerdom.chains import Chain, build_chain, lamplighter_folner
@@ -51,9 +53,18 @@ def z_chain3() -> Chain:
     )
 
 
+class TimedReports(dict):
+    """Reports by level, plus ``build_s``: the wall time spent building them."""
+
+    build_s: float
+
+
 @pytest.fixture(scope="session")
-def z_reports(z_chain3: Chain) -> dict[int, DominanceReport]:
-    return {n: dominance_report(z_chain3, n) for n in (2, 3)}
+def z_reports(z_chain3: Chain) -> TimedReports:
+    start = time.monotonic()
+    reports = TimedReports({n: dominance_report(z_chain3, n) for n in (2, 3)})
+    reports.build_s = time.monotonic() - start
+    return reports
 
 
 @pytest.fixture(scope="session")

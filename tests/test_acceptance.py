@@ -180,7 +180,7 @@ def test_criterion_05_arithgeo_closed_form():
 
 
 def test_criterion_06_measure_comparison(z_reports):
-    start = time.monotonic()
+    # the gate times the fixture's exact convolutions, not this loop
     ok = True
     for n in (2, 3):
         rep = z_reports[n]
@@ -189,12 +189,11 @@ def test_criterion_06_measure_comparison(z_reports):
         scaled = float(rep.scaled_by_envelope())
         ok = ok and scaled >= 0.148
         ok = ok and scaled >= reference_constant() - 1e-3
-    elapsed = time.monotonic() - start
     verdict(
         6,
         "exact min_scaled >= bound at Z levels 2-3 and scaled value >= 0.148 "
-        f"(limit {reference_constant():.7f}, tol 1e-3)",
-        ok and elapsed < 300,
+        f"(limit {reference_constant():.7f}, tol 1e-3), built in {z_reports.build_s:.0f} s",
+        ok and z_reports.build_s < 300,
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -87,12 +88,32 @@ def test_chain_outputs(z_config, tmp_path):
     assert (out / "omega.csv").read_text().startswith("# folnerdom-measure")
 
 
-def test_chain_budget_exit(z_config, tmp_path):
+@pytest.mark.parametrize(
+    "cmd,cap",
+    [("census", 10), ("chain", 40), ("dominate", 40), ("sweep", 40), ("simulate", 100)],
+)
+def test_cap_hit_exits_budget(z_config, tmp_path, capsys, cmd, cap):
+    # simulate hits the cap in its convergence balls, after the certificate
     out = tmp_path / "out"
-    assert run("chain", z_config, out, "--cap", "10") == EXIT_BUDGET
+    assert run(cmd, z_config, out, "--cap", str(cap)) == EXIT_BUDGET
+    assert capsys.readouterr().err.startswith("budget: ")
+    assert not list(out.glob("*"))
 
 
-def test_dominate_deterministic(z_config, tmp_path):
+def test_custom_folner_roundtrip(z_config, tmp_path):
+    chain_out = tmp_path / "chain"
+    assert run("chain", z_config, chain_out) == EXIT_PASS
+    cfg = json.loads(open(z_config).read())
+    cfg["folner"] = {"kind": "custom", "files": [str(chain_out / f"F_{n}.set") for n in (1, 2)]}
+    custom = write_config(tmp_path / "custom.json", cfg)
+    assert run("dominate", z_config, tmp_path / "balls") == EXIT_PASS
+    assert run("dominate", custom, tmp_path / "custom") == EXIT_PASS
+    assert (tmp_path / "custom" / "dominance.json").read_bytes() == (
+        tmp_path / "balls" / "dominance.json"
+    ).read_bytes()
+
+
+def test_dominate_deterministic(z_config, tmp_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run("dominate", z_config, out1) == EXIT_PASS
     assert run("dominate", z_config, out2) == EXIT_PASS
@@ -105,10 +126,13 @@ def test_dominate_deterministic(z_config, tmp_path):
     # no floats in certificate fields
     text = (out1 / "dominance.json").read_text()
     assert "e-" not in text and "0." not in text
-
-
-def test_dominate_budget(z_config, tmp_path):
-    assert run("dominate", z_config, tmp_path / "o", "--cap", "40") == EXIT_BUDGET
+    # the float diagnostic goes to stdout only
+    assert {p.name for p in out1.iterdir()} == {"dominance.json", "dominance.csv"}
+    scaled = Fraction(int(lvl["min_scaled"]["num"]), int(lvl["min_scaled"]["den"]))
+    scaled *= Fraction(lvl["card_E"], lvl["card_F"])
+    printed = capsys.readouterr().out
+    assert f"n=2 min_scaled*|E_n|/|F_n|={float(scaled):.7f}" in printed
+    assert "0.1484985" in printed
 
 
 def test_simulate_pass_and_seeded(z_config, tmp_path):
@@ -138,7 +162,7 @@ def test_simulate_lamplighter(ll_config, tmp_path):
     assert conv and conv[0] == "convergence,5,0,1,true"
 
 
-def test_sweep(z_config, tmp_path):
+def test_sweep(z_config, tmp_path, capsys):
     cfg = json.loads(open(z_config).read())
     cfg["sweep"] = {"tail_bases": [2, 3]}
     sw = write_config(tmp_path / "sw.json", cfg)
@@ -148,3 +172,7 @@ def test_sweep(z_config, tmp_path):
     assert lines[0].startswith("tail_base")
     assert len(lines) == 3  # header + one level per base
     assert all(line.endswith(",pass") for line in lines[1:])
+    # one limit-diagnostics row on stdout per certified level, no extra file
+    assert [p.name for p in out.iterdir()] == ["sweep.csv"]
+    printed = [line for line in capsys.readouterr().out.splitlines() if " r_N=" in line]
+    assert [line.split()[:2] for line in printed] == [["tail_base=2", "n=2"], ["tail_base=3", "n=2"]]
