@@ -2,10 +2,12 @@
 
 This is the package's only front end.  Every run is a pure function of
 (config, seed): output files are byte-identical across repeats.  Exit
-codes: 0 all checks pass, 2 a certified check failed, 3 a size/budget cap
+codes: 0 all checks pass, 2 a certified check failed (or, as for
+argparse's own usage errors, the config is invalid), 3 a size/budget cap
 stopped the run.  ``main`` is the single place where a cap hit
 (SizeCapExceeded, from any stage of any subcommand) becomes exit 3 and a
-``budget:`` line on stderr.
+``budget:`` line on stderr, and where a ConfigError becomes argparse's
+``error: config: ...`` line and exit 2.
 
 Certificate fields serialize rationals as {"num": ..., "den": ...} string
 pairs and CSV cells as "num/den"; floats never appear in them.  Float
@@ -45,7 +47,7 @@ from .dominance import (
     reference_constant,
     report_to_dict,
 )
-from .errors import SizeCapExceeded
+from .errors import ConfigError, SizeCapExceeded
 from .groups import Group, group_from_token, word_ball
 from .measures import FinSupMeasure
 from .schedules import Schedule, fn_size, ftilde_size
@@ -76,19 +78,31 @@ def atomic_write(path: str, text: str) -> None:
 
 def load_config(path: str) -> dict:
     with open(path) as fh:
-        cfg = json.load(fh)
-    if cfg.get("schema") != 1:
-        raise ValueError("config schema must be 1")
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not JSON: {exc}") from exc
+    if not isinstance(cfg, dict) or cfg.get("schema") != 1:
+        raise ConfigError("schema must be 1")
+    if not isinstance(cfg.get("group"), str):
+        raise ConfigError("group token required")
+    try:
+        group_from_token(cfg["group"])
+    except ValueError as exc:
+        raise ConfigError(f"group: {exc}") from exc
     return cfg
 
 
 def _schedule_from(cfg: dict, depth_flag: int | None) -> Schedule:
     s = cfg.get("schedule", {})
-    return Schedule(
-        tail_base=s.get("tail_base", 2),
-        length_base=s.get("length_base", 2),
-        depth=depth_flag or s.get("depth", 2),
-    )
+    try:
+        return Schedule(
+            tail_base=s.get("tail_base", 2),
+            length_base=s.get("length_base", 2),
+            depth=depth_flag or s.get("depth", 2),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"schedule: {exc}") from exc
 
 
 def _folner_sets(cfg: dict, group: Group, cap: int | None) -> list[FiniteSubset]:
@@ -97,12 +111,12 @@ def _folner_sets(cfg: dict, group: Group, cap: int | None) -> list[FiniteSubset]
     if kind == "balls":
         radii = fol.get("radii")
         if not radii:
-            raise ValueError("folner.radii required for kind=balls")
+            raise ConfigError("folner.radii required for kind=balls")
         return [FiniteSubset(group, word_ball(group, r, cap)) for r in radii]
     if kind == "lamplighter":
         indices = fol.get("indices")
         if not indices:
-            raise ValueError("folner.indices required for kind=lamplighter")
+            raise ConfigError("folner.indices required for kind=lamplighter")
         return [lamplighter_folner(n, cap)[1] for n in indices]
     if kind == "custom":
         sets = []
@@ -110,7 +124,7 @@ def _folner_sets(cfg: dict, group: Group, cap: int | None) -> list[FiniteSubset]
             with open(p) as fh:
                 sets.append(FiniteSubset.deserialize(fh.read()))
         return sets
-    raise ValueError(f"unknown folner kind {kind!r}")
+    raise ConfigError(f"unknown folner kind {kind!r}")
 
 
 def _build_chain(cfg: dict, cap: int | None, depth_flag: int | None) -> Chain:
@@ -118,7 +132,7 @@ def _build_chain(cfg: dict, cap: int | None, depth_flag: int | None) -> Chain:
     sched = _schedule_from(cfg, depth_flag)
     Fsub = _folner_sets(cfg, group, cap)
     if len(Fsub) < sched.depth:
-        raise ValueError("fewer Folner sets than schedule depth")
+        raise ConfigError("fewer Folner sets than schedule depth")
     return build_chain(Fsub, sched, sched.depth, cap)
 
 
@@ -135,13 +149,18 @@ def _action_from(cfg: dict) -> FiniteAction:
 
 def _observable_from(spec: dict, act: FiniteAction) -> Observable:
     kind = spec.get("kind", "indicator")
-    if kind == "indicator":
-        return Observable.indicator(act.size, spec.get("states", [0]))
-    if kind == "function":
-        return Observable.function(Fraction(v) for v in spec["values"])
-    if kind == "matrix":
-        return Observable.matrix([[Fraction(v) for v in row] for row in spec["rows"]])
-    raise ValueError(f"unknown observable kind {kind!r}")
+    try:
+        if kind == "indicator":
+            return Observable.indicator(act.size, spec.get("states", [0]))
+        if kind == "function":
+            return Observable.function(Fraction(v) for v in spec["values"])
+        if kind == "matrix":
+            return Observable.matrix([[Fraction(v) for v in row] for row in spec["rows"]])
+    except KeyError as exc:
+        raise ConfigError(f"observable.{exc.args[0]} required for kind={kind}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"observable: {exc}") from exc
+    raise ConfigError(f"unknown observable kind {kind!r}")
 
 
 def certify_levels(chain: Chain, cap: int | None) -> tuple[list[DominanceReport], int]:
@@ -339,7 +358,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized batteries")
     args = parser.parse_args(argv)
 
-    cfg = load_config(args.config)
     handler = {
         "census": cmd_census,
         "chain": cmd_chain,
@@ -348,7 +366,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         "sweep": cmd_sweep,
     }[args.command]
     try:
-        return handler(cfg, args.out, args.cap, args.depth, args.seed)
+        return handler(load_config(args.config), args.out, args.cap, args.depth, args.seed)
+    except ConfigError as exc:
+        parser.error(f"config: {exc}")
     except SizeCapExceeded as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -1,6 +1,14 @@
 """Shared exception types."""
 
 
+class ConfigError(ValueError):
+    """A run configuration is malformed or names something unknown.
+
+    The CLI reports it as a usage error (exit 2, like argparse's own), not
+    as a traceback.  A ValueError from inside a computation stays one.
+    """
+
+
 class GroupMismatchError(TypeError):
     """Raised when operands belong to different groups."""
 

@@ -63,6 +63,35 @@ def test_config_schema_required(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda cfg: cfg.pop("schema"), id="no-schema"),
+        pytest.param(lambda cfg: cfg["folner"].update(kind="spheres"), id="unknown-folner-kind"),
+        pytest.param(lambda cfg: cfg["folner"].pop("radii"), id="missing-radii"),
+    ],
+)
+def test_invalid_config_is_usage_error(z_config, tmp_path, capsys, edit):
+    cfg = json.loads(open(z_config).read())
+    edit(cfg)
+    bad = write_config(tmp_path / "bad.json", cfg)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run("dominate", bad, out)
+    assert exc.value.code == 2  # argparse's usage-error code
+    assert "error: config: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_value_error_in_computation_is_not_a_config_error(z_config, tmp_path, monkeypatch):
+    def broken(*args):
+        raise ValueError("inside the computation")
+
+    monkeypatch.setattr("folnerdom.cli.build_chain", broken)
+    with pytest.raises(ValueError, match="inside the computation"):
+        run("dominate", z_config, tmp_path / "out")
+
+
 def test_census_lamplighter(ll_config, tmp_path):
     out = tmp_path / "out"
     assert run("census", ll_config, out, "--depth", "6") == EXIT_PASS

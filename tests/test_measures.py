@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from folnerdom import measures
 from folnerdom.chains import lamplighter_folner
-from folnerdom.groups import Lamplighter, Zd
+from folnerdom.groups import Heisenberg, Lamplighter, Zd, word_ball
 from folnerdom.measures import (
     FinSupMeasure,
     cesaro_density,
@@ -97,6 +99,60 @@ def test_convolution_associative_and_mass_multiplicative(da, db, dc):
     assert convolve(a, b).total_mass == a.total_mass * b.total_mass == 1
 
 
+@st.composite
+def zd_measures(draw, d):
+    """Random Z^d measures: empty, delta, dense or sparse/wide, possibly truncated."""
+    group = Zd(d)
+    shape = draw(st.sampled_from(["support"] * 6 + ["delta", "empty"]))
+    if shape == "delta":
+        return FinSupMeasure.delta(group)
+    radius = draw(st.sampled_from([0, 1, 3, 10**6]))
+    coords = st.tuples(*[st.integers(-radius, radius)] * d)
+    # all-ones numerators fill their bytes, so a slot one term too narrow carries
+    values = draw(st.sampled_from([st.integers(1, 2**100), st.just(2**8 - 1), st.just(2**64 - 1)]))
+    num = {} if shape == "empty" else draw(
+        st.dictionaries(coords, values, min_size=1, max_size=30)
+    )
+    return FinSupMeasure(group, num, draw(st.integers(1, 2**64)), draw(st.booleans()))
+
+
+@st.composite
+def zd_operands(draw):
+    d = draw(st.integers(1, 3))
+    mu, nu = draw(zd_measures(d)), draw(zd_measures(d))
+    cap = draw(st.one_of(st.none(), st.integers(0, 12)))
+    return mu, nu, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(zd_operands())
+def test_zd_kernel_matches_pairwise_oracle(operands):
+    mu, nu, cap = operands
+    fast = convolve(mu, nu, cap)
+    with patch.dict(measures._KERNELS, clear=True):
+        ref = convolve(mu, nu, cap)
+    assert fast.numerators == ref.numerators
+    assert fast.denominator == ref.denominator
+    assert fast.truncated == ref.truncated
+
+
+def test_zd_dispatch_reaches_kernel(monkeypatch):
+    dense = FinSupMeasure.uniform(z_interval(50))
+    sparse = FinSupMeasure.uniform(FiniteSubset.of(Z, [(-(10**6),), (0,), (10**6,)]))
+    calls = []
+    law = Zd.mul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return law(self, a, b)
+
+    monkeypatch.setattr(Zd, "mul", counted)
+    convolve(dense, dense)
+    assert not calls  # Kronecker substitution, no group-law products
+    convolve(sparse, sparse)
+    assert len(calls) == 9  # the wide output box takes the pairwise loop
+
+
 def test_convolution_powers_conventions():
     u = FinSupMeasure.uniform(z_interval(1))
     powers = convolution_powers(u, 2)
@@ -175,6 +231,19 @@ def test_convolve_at_matches_full():
     assert at[(0,)] == full.mass((0,))
     assert at[(5,)] == full.mass((5,))
     assert at[(99,)] == 0
+
+
+@pytest.mark.parametrize("group", [Zd(2), Heisenberg(), Lamplighter()], ids=lambda g: g.token())
+def test_convolve_at_either_side_smaller(group):
+    rng = random.Random(5)
+    small, big = (
+        FinSupMeasure(group, {g: rng.randint(1, 9) for g in word_ball(group, r)}, 1000)
+        for r in (1, 2)
+    )
+    points = word_ball(group, 4)  # the products reach radius 3; the rest are zero
+    for mu, nu in ((small, big), (big, small)):
+        full = convolve(mu, nu)
+        assert convolve_at(mu, nu, points) == {g: full.mass(g) for g in points}
 
 
 def _absorption_case(group, H, K):
