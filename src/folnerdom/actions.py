@@ -7,6 +7,12 @@ functions on Q or symmetric rational matrices conjugated by the
 permutation matrices.  Ergodic averages over a Folner set push the
 uniform measure through q first, so the cost scales with |Q|, not |F_n|.
 
+A quotient is given by its states and q alone.  The states are group
+elements, one representative per element of Q with q(s) == s, and the
+quotient law is the group's own law from ``groups.py`` followed by q:
+q * s = q(mul(q, s)) and q^-1 = q(inv(q)).  Since q is a homomorphism
+this is the law of Q, so no quotient writes its law a second time.
+
 Shipped quotients: Z^d -> (Z/m)^d, Heisenberg with entries mod m, and
 lamplighter -> (Z/m) x| (Z/2)^m (position mod m, lamp parity per residue
 class).
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from .chains import Chain
@@ -158,36 +165,21 @@ def psd_order_holds(lo: Observable, hi: Observable) -> tuple[bool, Fraction]:
 class FiniteAction:
     """Left regular representation of a finite quotient group.
 
-    ``states`` are the quotient elements in a fixed canonical order;
-    ``qmap`` is the quotient homomorphism; ``qmul``/``qinv`` implement the
-    quotient law on states.  ``weights`` is the invariant probability on
-    states (uniform by default, and uniform is always invariant for the
-    regular representation).
+    ``states`` are representatives of the quotient elements, in a fixed
+    canonical order, with ``qmap(s) == s``; ``qmap`` is the quotient
+    homomorphism.  The quotient law is ``group.mul``/``group.inv``
+    followed by ``qmap``.  The invariant probability on states is uniform.
     """
 
-    def __init__(
-        self,
-        group: Group,
-        states: Sequence,
-        qmap: Callable,
-        qmul: Callable,
-        qinv: Callable,
-        weights: Sequence[Fraction] | None = None,
-    ):
+    def __init__(self, group: Group, states: Iterable, qmap: Callable):
         self.group = group
         self.states = tuple(states)
         self.index = {s: i for i, s in enumerate(self.states)}
         self.qmap = qmap
-        self.qmul = qmul
-        self.qinv = qinv
-        m = len(self.states)
-        self.weights = (
-            tuple(Fraction(1, m) for _ in range(m))
-            if weights is None
-            else tuple(Fraction(w) for w in weights)
-        )
-        if sum(self.weights) != 1 or any(w < 0 for w in self.weights):
-            raise ValueError("weights must be a probability vector")
+        if not self.states or len(self.index) != len(self.states):
+            raise ValueError("states must be nonempty and distinct")
+        if any(qmap(s) != s for s in self.states):
+            raise ValueError("states must be representatives with qmap(s) == s")
         self._perm_cache: dict[int, tuple[int, ...]] = {}
 
     @property
@@ -202,15 +194,14 @@ class FiniteAction:
         cached = self._perm_cache.get(qi)
         if cached is None:
             q = self.states[qi]
-            cached = tuple(self.index[self.qmul(q, s)] for s in self.states)
+            cached = tuple(self.state_of(self.group.mul(q, s)) for s in self.states)
             self._perm_cache[qi] = cached
         return cached
 
     def act(self, qi: int, x: Observable) -> Observable:
         """alpha_q(x)(s) = x(q^{-1} s); matrices conjugated by the same
         permutation."""
-        inv_qi = self.index[self.qinv(self.states[qi])]
-        sigma_inv = self.perm(inv_qi)  # maps s -> q^{-1} s
+        sigma_inv = self.perm(self.state_of(self.group.inv(self.states[qi])))  # s -> q^{-1} s
         if x.kind == "function":
             return Observable("function", tuple(x.data[sigma_inv[s]] for s in range(self.size)))
         return Observable(
@@ -253,74 +244,42 @@ class FiniteAction:
         return acc
 
     def one_norm(self, x: Observable) -> Fraction:
-        """tau(|x|): weighted absolute sum, or weighted trace norm proxy
-        using the diagonal for matrices (only used for function probes)."""
+        """tau(|x|) = (1/|Q|) sum_s |x(s)|, for function observables."""
         if x.kind != "function":
             raise ValueError("one_norm is defined for function observables")
-        return sum(w * abs(v) for w, v in zip(self.weights, x.data))
+        return Fraction(sum(abs(v) for v in x.data), self.size)
 
 
 def zd_mod_action(d: int, m: int) -> FiniteAction:
     """Z^d acting on (Z/m)^d by translation."""
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    states = []
-
-    def build(prefix):
-        if len(prefix) == d:
-            states.append(tuple(prefix))
-            return
-        for v in range(m):
-            build(prefix + [v])
-
-    build([])
-    qmap = lambda g: tuple(v % m for v in g)
-    qmul = lambda a, b: tuple((x + y) % m for x, y in zip(a, b))
-    qinv = lambda a: tuple((-x) % m for x in a)
-    return FiniteAction(Zd(d), states, qmap, qmul, qinv)
+    return FiniteAction(Zd(d), product(range(m), repeat=d), lambda g: tuple(v % m for v in g))
 
 
 def heisenberg_mod_action(m: int) -> FiniteAction:
     """Heisenberg group with all three entries reduced mod m."""
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    states = [(a, b, c) for a in range(m) for b in range(m) for c in range(m)]
-    qmap = lambda g: (g[0] % m, g[1] % m, g[2] % m)
-    qmul = lambda u, v: ((u[0] + v[0]) % m, (u[1] + v[1]) % m, (u[2] + v[2] + u[0] * v[1]) % m)
-    qinv = lambda u: ((-u[0]) % m, (-u[1]) % m, (u[0] * u[1] - u[2]) % m)
-    return FiniteAction(Heisenberg(), states, qmap, qmul, qinv)
+    return FiniteAction(
+        Heisenberg(), product(range(m), repeat=3), lambda g: (g[0] % m, g[1] % m, g[2] % m)
+    )
 
 
 def lamplighter_mod_action(m: int) -> FiniteAction:
     """Lamplighter onto (Z/m) x| (Z/2)^m: position mod m, lamp parity per
-    residue class; the shift part rotates the parity vector."""
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    states = [(t, bits) for t in range(m) for bits in _all_bits(m)]
+    residue class.  States are (t, lamps) with t and the lamps in [0, m),
+    ordered by t, then by the bit pattern of the lamps."""
+
+    def lamps_of(bits: int) -> frozenset:
+        return frozenset(k for k in range(m) if bits >> k & 1)
 
     def qmap(g):
         t, lamps = g
-        par = [0] * m
+        bits = 0
         for k in lamps:
-            par[k % m] ^= 1
-        return (t % m, tuple(par))
+            bits ^= 1 << (k % m)
+        return (t % m, lamps_of(bits))
 
-    def qmul(u, v):
-        t1, b1 = u
-        t2, b2 = v
-        rotated = tuple(b2[(i - t1) % m] for i in range(m))
-        return ((t1 + t2) % m, tuple(x ^ y for x, y in zip(b1, rotated)))
-
-    def qinv(u):
-        t, b = u
-        rotated = tuple(b[(i + t) % m] for i in range(m))
-        return ((-t) % m, rotated)
-
-    return FiniteAction(Lamplighter(), states, qmap, qmul, qinv)
-
-
-def _all_bits(m: int) -> list[tuple[int, ...]]:
-    return [tuple((k >> i) & 1 for i in range(m)) for k in range(2**m)]
+    return FiniteAction(
+        Lamplighter(), ((t, lamps_of(bits)) for t in range(m) for bits in range(2**m)), qmap
+    )
 
 
 # -- the operators of the ergodic theorem -----------------------------------
@@ -412,9 +371,9 @@ def weak11_probe(
         avg = ergodic_average(act, F, x)
         maxed = [max(a, b) for a, b in zip(maxed, avg.data)]
     good = frozenset(s for s, v in enumerate(maxed) if v <= c_emp * eps)
-    comp_mass = sum(act.weights[s] for s in range(act.size) if s not in good)
+    comp_mass = Fraction(act.size - len(good), act.size)
     bound = 4 * c_emp / eps * act.one_norm(x)
-    return good, Fraction(comp_mass), bound, comp_mass <= bound
+    return good, comp_mass, bound, comp_mass <= bound
 
 
 def kadison_check(

@@ -21,11 +21,10 @@ from .groups import Group, Lamplighter, generated_closure
 from .measures import FinSupMeasure, mix
 from .sets import (
     FiniteSubset,
+    envelope_pad,
     interior_bilateral,
-    inverse_set,
     is_symmetric_with_identity,
-    power,
-    product,
+    padded_envelope,
 )
 from .schedules import Schedule, fn_size, ftilde_size
 
@@ -99,12 +98,8 @@ def build_E_sequence(
         raise ValueError("F_1 must be symmetric and contain the identity")
     E = [Fsub[0]]
     for n in range(2, depth + 1):
-        Nn = sched.N(n)
-        if Nn <= 2:
-            raise ValueError("N(n) must exceed 2")
         try:
-            pad = inverse_set(power(E[-1], Nn - 2, cap))
-            En = product(product(pad, Fsub[n - 1], cap), pad, cap)
+            En = padded_envelope(envelope_pad(E[-1], sched.N(n), cap), Fsub[n - 1], cap)
         except SizeCapExceeded as exc:
             raise SizeCapExceeded(f"E_{n} ({exc.what})", exc.needed, exc.cap) from exc
         E.append(En)
@@ -146,7 +141,7 @@ def check_chain_identities(chain: Chain, cap: int | None = None) -> None:
         if n < chain.depth:
             assert En.issubset(chain.envelopes[n]), f"E_{n} not inside E_{n+1}"
         if n >= 2:
-            pad = inverse_set(power(chain.envelopes[n - 2], chain.schedule.N(n) - 2, cap))
+            pad = envelope_pad(chain.envelopes[n - 2], chain.schedule.N(n), cap)
             inner = interior_bilateral(pad, pad, En)
             assert Fn.issubset(inner), f"interior containment fails at level {n}"
 

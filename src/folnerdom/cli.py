@@ -77,11 +77,13 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def load_config(path: str) -> dict:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not JSON: {exc}") from exc
     if not isinstance(cfg, dict) or cfg.get("schema") != 1:
         raise ConfigError("schema must be 1")
     if not isinstance(cfg.get("group"), str):
@@ -99,7 +101,7 @@ def _schedule_from(cfg: dict, depth_flag: int | None) -> Schedule:
         return Schedule(
             tail_base=s.get("tail_base", 2),
             length_base=s.get("length_base", 2),
-            depth=depth_flag or s.get("depth", 2),
+            depth=s.get("depth", 2) if depth_flag is None else depth_flag,
         )
     except ValueError as exc:
         raise ConfigError(f"schedule: {exc}") from exc
@@ -121,8 +123,11 @@ def _folner_sets(cfg: dict, group: Group, cap: int | None) -> list[FiniteSubset]
     if kind == "custom":
         sets = []
         for p in fol.get("files", []):
-            with open(p) as fh:
-                sets.append(FiniteSubset.deserialize(fh.read()))
+            try:
+                with open(p) as fh:
+                    sets.append(FiniteSubset.deserialize(fh.read()))
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"folner.files: {p}: {exc}") from exc
         return sets
     raise ConfigError(f"unknown folner kind {kind!r}")
 
@@ -130,6 +135,8 @@ def _folner_sets(cfg: dict, group: Group, cap: int | None) -> list[FiniteSubset]
 def _build_chain(cfg: dict, cap: int | None, depth_flag: int | None) -> Chain:
     group = group_from_token(cfg["group"])
     sched = _schedule_from(cfg, depth_flag)
+    if sched.depth < 2:
+        raise ConfigError("depth must be >= 2: certificates start at level 2")
     Fsub = _folner_sets(cfg, group, cap)
     if len(Fsub) < sched.depth:
         raise ConfigError("fewer Folner sets than schedule depth")
@@ -137,8 +144,9 @@ def _build_chain(cfg: dict, cap: int | None, depth_flag: int | None) -> Chain:
 
 
 def _action_from(cfg: dict) -> FiniteAction:
-    a = cfg.get("action", {})
-    m = a.get("modulus", 4)
+    m = cfg.get("action", {}).get("modulus", 4)
+    if not isinstance(m, int) or m < 1:
+        raise ConfigError(f"action.modulus must be an integer >= 1, got {m!r}")
     group = group_from_token(cfg["group"])
     if group.kind == "zd":
         return zd_mod_action(group.d, m)
@@ -151,7 +159,10 @@ def _observable_from(spec: dict, act: FiniteAction) -> Observable:
     kind = spec.get("kind", "indicator")
     try:
         if kind == "indicator":
-            return Observable.indicator(act.size, spec.get("states", [0]))
+            states = spec.get("states", [0])
+            if not all(isinstance(i, int) and 0 <= i < act.size for i in states):
+                raise ConfigError(f"states must lie in [0, {act.size})")
+            return Observable.indicator(act.size, states)
         if kind == "function":
             return Observable.function(Fraction(v) for v in spec["values"])
         if kind == "matrix":
@@ -161,6 +172,31 @@ def _observable_from(spec: dict, act: FiniteAction) -> Observable:
     except ValueError as exc:
         raise ConfigError(f"observable: {exc}") from exc
     raise ConfigError(f"unknown observable kind {kind!r}")
+
+
+def _simulate_params(sim: dict, group: Group) -> tuple[list, Fraction, Fraction, int, int]:
+    """(convergence indices, tolerance, eps, kadison_trials, kadison_dim) of
+    the simulate section; lamplighter indices n give F~_n, others radii."""
+    if group.kind == "lamplighter":
+        key, conv_ns = "convergence_indices", sim.get("convergence_indices", [2, 5, 8])
+    else:
+        key, conv_ns = "convergence_radii", sim.get("convergence_radii", [1, 4, 16, 64])
+    if not conv_ns:
+        raise ConfigError(f"simulate.{key} must be nonempty")
+    try:
+        tol = Fraction(sim.get("tolerance", "1/1000"))
+        eps = Fraction(sim.get("eps", "1/8"))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"simulate: tolerance and eps must be rationals: {exc}") from exc
+    if eps <= 0:
+        raise ConfigError("simulate.eps must be positive")
+    trials = sim.get("kadison_trials", 25)
+    dim = sim.get("kadison_dim", 3)
+    if not isinstance(trials, int) or trials < 0:
+        raise ConfigError("simulate.kadison_trials must be an integer >= 0")
+    if not isinstance(dim, int) or dim < 1:
+        raise ConfigError("simulate.kadison_dim must be an integer >= 1")
+    return conv_ns, tol, eps, trials, dim
 
 
 def certify_levels(chain: Chain, cap: int | None) -> tuple[list[DominanceReport], int]:
@@ -176,7 +212,9 @@ def certify_levels(chain: Chain, cap: int | None) -> tuple[list[DominanceReport]
 def cmd_census(cfg: dict, out: str, cap: int | None, depth: int | None, seed: int) -> int:
     """Lamplighter cardinalities vs closed forms; ball growth otherwise."""
     group = group_from_token(cfg["group"])
-    nmax = depth or cfg.get("census", {}).get("max_index", 6)
+    nmax = cfg.get("census", {}).get("max_index", 6) if depth is None else depth
+    if not isinstance(nmax, int) or nmax < 1:
+        raise ConfigError("census index must be an integer >= 1")
     rows = ["n,card_ftilde,formula_ftilde,card_f,formula_f,match"]
     all_match = True
     if group.kind == "lamplighter":
@@ -266,6 +304,10 @@ def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
     """Convergence, dominance transfer, weak (1,1) probe, Kadison battery."""
     sim = cfg.get("simulate", {})
     act = _action_from(cfg)
+    conv_ns, tol, eps, trials, dim = _simulate_params(sim, act.group)
+    x = _observable_from(sim.get("observable", {}), act)
+    if x.size != act.size:
+        raise ConfigError(f"observable has {x.size} states, the action has {act.size}")
     rng = random.Random(seed)
     failures = 0
     chain = _build_chain(cfg, cap, depth)
@@ -274,19 +316,15 @@ def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
         print("dominance certificate failed; cannot transfer", file=sys.stderr)
         return EXIT_FAIL
 
-    x = _observable_from(sim.get("observable", {}), act)
-
-    group = group_from_token(cfg["group"])
+    group = act.group
     conv_sets: list[tuple[int, FiniteSubset]] = []
-    if group.kind == "lamplighter":
-        for n in sim.get("convergence_indices", [2, 5, 8]):
+    for n in conv_ns:
+        if group.kind == "lamplighter":
             conv_sets.append((n, lamplighter_folner(n, cap)[0]))
-    else:
-        for n in sim.get("convergence_radii", [1, 4, 16, 64]):
+        else:
             conv_sets.append((n, FiniteSubset(group, word_ball(group, n, cap))))
 
     rows = ["check,n,value_num,value_den,ok"]
-    tol = Fraction(sim.get("tolerance", "1/1000"))
     diag = convergence_diagnostics(act, conv_sets, x)
     final_ok = diag[-1][1] <= tol
     failures += 0 if final_ok else 1
@@ -297,14 +335,11 @@ def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
     failures += 0 if ok else 1
     rows.append(f"dominance_transfer,{chain.depth},{slack.numerator},{slack.denominator},{str(ok).lower()}")
 
-    eps = Fraction(sim.get("eps", "1/8"))
     if x.kind == "function":
         _, mass, bound, wok = weak11_probe(act, conv_sets, x, eps, rep.c_emp)
         failures += 0 if wok else 1
         rows.append(f"weak11_mass,0,{mass.numerator},{mass.denominator},{str(wok).lower()}")
 
-    trials = sim.get("kadison_trials", 25)
-    dim = sim.get("kadison_dim", 3)
     kact = zd_mod_action(1, dim)
     kf = FiniteSubset.of(kact.group, ((i,) for i in range(dim)))
     kad_fail = 0
@@ -323,6 +358,8 @@ def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
 def cmd_sweep(cfg: dict, out: str, cap: int | None, depth: int | None, seed: int) -> int:
     """Dominance constants across a grid of tail bases."""
     bases = cfg.get("sweep", {}).get("tail_bases", [2, 3, 4])
+    if not bases:
+        raise ConfigError("sweep.tail_bases must be nonempty")
     rows = ["tail_base,n,min_scaled,bound,c_emp,verdict"]
     worst = EXIT_PASS
     for c in bases:

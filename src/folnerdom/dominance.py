@@ -145,11 +145,7 @@ def dominance_report(chain: Chain, n: int, cap: int | None = None) -> DominanceR
     Fn, En = chain.level(n)
     N = sched.N(n)
     min_scaled, tainted = min_scaled_cesaro(chain.omega, N, Fn, cap)
-    bound = (
-        finite_n_lower_bound(len(Fn), len(En), sched.r(n), sched.r(n + 1), N)
-        if n >= 1
-        else Fraction(0)
-    )
+    bound = finite_n_lower_bound(len(Fn), len(En), sched.r(n), sched.r(n + 1), N)
     c_emp = None if min_scaled == 0 else 1 / min_scaled
     verdict = "pass" if (min_scaled >= bound and bound > 0) else "fail"
     return DominanceReport(

@@ -280,8 +280,6 @@ class SymbolicSize:
             return str(self.coeff)
         e = self.exp
         es = f"({e})" if isinstance(e, SymbolicSize) and not e.is_int() else str(e)
-        if isinstance(e, SymbolicSize) and not e.is_int():
-            es = f"({e})"
         head = "" if self.coeff == 1 else f"{self.coeff}*"
         return f"{head}{self.base}^{es}"
 

@@ -121,6 +121,18 @@ def power(A: FiniteSubset, k: int, cap: int | None = None) -> FiniteSubset:
     return result
 
 
+def envelope_pad(E_prev: FiniteSubset, N: int, cap: int | None = None) -> FiniteSubset:
+    """P^{-1} with P = E_{k-1}^{N(k)-2}, the pad on both sides of E_k = P^{-1} F P^{-1}."""
+    if N <= 2:
+        raise ValueError("N(k) must exceed 2")
+    return inverse_set(power(E_prev, N - 2, cap))
+
+
+def padded_envelope(pad: FiniteSubset, F: FiniteSubset, cap: int | None = None) -> FiniteSubset:
+    """E_k = P^{-1} F P^{-1}, given the pad P^{-1} from ``envelope_pad``."""
+    return product(product(pad, F, cap), pad, cap)
+
+
 def symmetrize(A: FiniteSubset) -> FiniteSubset:
     """A U A^{-1} U {e}."""
     return FiniteSubset(
@@ -262,7 +274,6 @@ def extract_subsequence(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     it = iter(folner)
-    last_index = None
     try:
         idx, F1 = next(it)
     except StopIteration:
@@ -273,20 +284,17 @@ def extract_subsequence(
     last_index = idx
     E_prev = F1
     for k in range(2, depth + 1):
-        Nk = N(k)
-        if Nk <= 2:
-            raise ValueError("N(k) must exceed 2 for k >= 2")
-        pad = inverse_set(power(E_prev, Nk - 2, cap))
+        pad = envelope_pad(E_prev, N(k), cap)
         eps_k = eps(k)
         best: Fraction | None = None
         found = None
         tried = 0
         for idx, Fc in it:
-            if last_index is not None and idx <= last_index:
+            if idx <= last_index:
                 raise ValueError("Folner indices must be strictly increasing")
             last_index = idx
             tried += 1
-            Ek = product(product(pad, Fc, cap), pad, cap)
+            Ek = padded_envelope(pad, Fc, cap)
             ratio = Fraction(len(Ek.elements - Fc.elements), len(Fc))
             if best is None or ratio < best:
                 best = ratio

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folnerdom.actions import (
+    FiniteAction,
     Observable,
     cesaro_mean,
     check_dominance,
@@ -83,30 +84,40 @@ def test_markov_apply_examples():
     assert markov_apply(act, unif, x).data == (Fraction(1, 4),) * 4
 
 
-def test_action_is_homomorphism_sampled():
-    act = lamplighter_mod_action(2)
-    rng = random.Random(5)
+def _random_zd2(rng):
+    return (rng.randint(-5, 5), rng.randint(-5, 5))
+
+
+def _random_heisenberg(rng):
+    return tuple(rng.randint(-4, 4) for _ in range(3))
+
+
+def _random_lamplighter(rng):
+    return (rng.randint(-5, 5), frozenset(rng.sample(range(-4, 5), rng.randint(0, 3))))
+
+
+@pytest.mark.parametrize(
+    "make,element",
+    [
+        (lambda: zd_mod_action(2, 3), _random_zd2),
+        (lambda: heisenberg_mod_action(3), _random_heisenberg),
+        (lambda: lamplighter_mod_action(2), _random_lamplighter),
+    ],
+    ids=["zd:2-mod-3", "heisenberg-mod-3", "lamplighter-mod-2"],
+)
+def test_action_is_homomorphism(make, element):
+    act = make()
+    assert len(set(act.states)) == act.size
+    assert all(act.qmap(s) == s for s in act.states)
     G = act.group
-    x = Observable.function([Fraction(k, 7) for k in range(act.size)])
+    x = Observable.function([Fraction(k, act.size) for k in range(act.size)])
+    rng = random.Random(5)
     for _ in range(25):
-        g = (rng.randint(-5, 5), frozenset(rng.sample(range(-4, 5), rng.randint(0, 3))))
-        h = (rng.randint(-5, 5), frozenset(rng.sample(range(-4, 5), rng.randint(0, 3))))
+        g, h = element(rng), element(rng)
         lhs = act.act_element(G.mul(g, h), x)
         rhs = act.act_element(g, act.act_element(h, x))
         assert lhs.data == rhs.data
-
-
-def test_heisenberg_action_homomorphism():
-    act = heisenberg_mod_action(3)
-    G = act.group
-    x = Observable.function([Fraction(k % 5, 5) for k in range(act.size)])
-    rng = random.Random(11)
-    for _ in range(15):
-        g = tuple(rng.randint(-4, 4) for _ in range(3))
-        h = tuple(rng.randint(-4, 4) for _ in range(3))
-        assert act.act_element(G.mul(g, h), x).data == act.act_element(
-            g, act.act_element(h, x)
-        ).data
+        assert act.act_element(G.inv(g), act.act_element(g, x)).data == x.data
 
 
 def test_cesaro_mean_reduces_to_average_of_iterates():
@@ -236,11 +247,20 @@ def test_check_dominance_function_and_matrix(z_chain2):
     assert ok_m
 
 
-def test_weights_validation():
-    with pytest.raises(ValueError):
-        zd = zd_mod_action(1, 2)
-        from folnerdom.actions import FiniteAction
+def test_lamplighter_states_in_bit_pattern_order():
+    act = lamplighter_mod_action(3)
+    assert act.states[0] == act.group.identity
+    assert act.states[1 * 8 + 0b101] == (1, frozenset({0, 2}))
+    assert act.state_of((4, frozenset({-1, 2, 3, 5}))) == 1 * 8 + 0b101
 
-        FiniteAction(
-            zd.group, zd.states, zd.qmap, zd.qmul, zd.qinv, weights=[Fraction(1), Fraction(1)]
-        )
+
+def test_states_must_be_representatives():
+    zd = zd_mod_action(1, 4)
+    with pytest.raises(ValueError, match="representatives"):
+        FiniteAction(zd.group, [(0,), (5,)], zd.qmap)
+    with pytest.raises(ValueError, match="distinct"):
+        FiniteAction(zd.group, [(0,), (0,)], zd.qmap)
+    with pytest.raises(ValueError, match="nonempty"):
+        zd_mod_action(2, 0)
+    with pytest.raises(ValueError, match="nonempty"):
+        lamplighter_mod_action(-1)

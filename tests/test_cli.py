@@ -63,21 +63,62 @@ def test_config_schema_required(tmp_path):
         load_config(bad)
 
 
+def _set(section, **fields):
+    return lambda cfg: cfg.setdefault(section, {}).update(fields)
+
+
+def _keep(cfg):
+    pass
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "cmd,edit,flags",
     [
-        pytest.param(lambda cfg: cfg.pop("schema"), id="no-schema"),
-        pytest.param(lambda cfg: cfg["folner"].update(kind="spheres"), id="unknown-folner-kind"),
-        pytest.param(lambda cfg: cfg["folner"].pop("radii"), id="missing-radii"),
+        pytest.param("dominate", lambda cfg: cfg.pop("schema"), (), id="no-schema"),
+        pytest.param("dominate", _set("folner", kind="spheres"), (), id="unknown-folner-kind"),
+        pytest.param("dominate", lambda cfg: cfg["folner"].pop("radii"), (), id="missing-radii"),
+        pytest.param("dominate", None, (), id="missing-file"),  # no config written
+        pytest.param(
+            "dominate", _set("folner", kind="custom", files=["absent.set"]), (), id="missing-set-file"
+        ),
+        pytest.param("simulate", _set("action", modulus=0), (), id="modulus-0"),
+        pytest.param("simulate", _set("simulate", tolerance="abc"), (), id="tolerance-abc"),
+        pytest.param("simulate", _set("simulate", eps="abc"), (), id="eps-abc"),
+        pytest.param("simulate", _set("simulate", kadison_dim=0), (), id="kadison-dim-0"),
+        pytest.param(
+            "simulate",
+            _set("simulate", observable={"kind": "function", "values": [1, 0]}),
+            (),
+            id="observable-size",
+        ),
+        pytest.param(
+            "simulate",
+            _set("simulate", observable={"kind": "indicator", "states": [8]}),
+            (),
+            id="indicator-state-8",  # used to pass on the zero observable
+        ),
+        pytest.param("simulate", _set("simulate", convergence_radii=[]), (), id="no-radii"),
+        pytest.param("dominate", _set("schedule", depth=1), (), id="config-depth-1"),
+        pytest.param("sweep", _set("sweep", tail_bases=[]), (), id="no-tail-bases"),
+        # --depth 0 used to fall back to the config's depth and pass
+        pytest.param("dominate", _keep, ("--depth", "0"), id="dominate-depth-0"),
+        # --depth 1 used to pass with "levels": [], certifying nothing
+        pytest.param("dominate", _keep, ("--depth", "1"), id="dominate-depth-1"),
+        pytest.param("sweep", _keep, ("--depth", "1"), id="sweep-depth-1"),
+        # --depth 1 used to crash in finite_n_lower_bound
+        pytest.param("simulate", _keep, ("--depth", "1"), id="simulate-depth-1"),
+        pytest.param("census", _keep, ("--depth", "0"), id="census-depth-0"),
     ],
 )
-def test_invalid_config_is_usage_error(z_config, tmp_path, capsys, edit):
-    cfg = json.loads(open(z_config).read())
-    edit(cfg)
-    bad = write_config(tmp_path / "bad.json", cfg)
+def test_invalid_config_is_usage_error(z_config, tmp_path, capsys, cmd, edit, flags):
+    bad = tmp_path / "bad.json"
+    if edit is not None:
+        cfg = json.loads(open(z_config).read())
+        edit(cfg)
+        write_config(bad, cfg)
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        run("dominate", bad, out)
+        run(cmd, str(bad), out, *flags)
     assert exc.value.code == 2  # argparse's usage-error code
     assert "error: config: " in capsys.readouterr().err
     assert not out.exists()
@@ -189,6 +230,38 @@ def test_simulate_lamplighter(ll_config, tmp_path):
     conv = [r for r in rows if r.startswith("convergence,5")]
     # m = 3 divides 5 + 1: the average equals the projection exactly
     assert conv and conv[0] == "convergence,5,0,1,true"
+
+
+def test_simulate_heisenberg(tmp_path):
+    # 27 states: (a, b, c) mod 3 under the Heisenberg law of groups.py
+    config = write_config(
+        tmp_path / "heis.json",
+        {
+            "schema": 1,
+            "group": "heisenberg",
+            "schedule": {"depth": 2},
+            "folner": {"kind": "balls", "radii": [1, 2]},
+            "action": {"modulus": 3},
+            "simulate": {
+                "observable": {"kind": "indicator", "states": [0, 3]},
+                "convergence_radii": [1, 2, 4],
+                "tolerance": "1/2",
+                "kadison_trials": 5,
+            },
+        },
+    )
+    out = tmp_path / "out"
+    assert run("simulate", config, out) == EXIT_PASS
+    # reference bytes, computed with the law written out mod 3 apart from groups.py
+    assert (out / "simulate.csv").read_text() == (
+        "check,n,value_num,value_den,ok\n"
+        "convergence,1,44,135,true\n"
+        "convergence,2,74,459,true\n"
+        "convergence,4,4,135,true\n"
+        "dominance_transfer,2,100847457721,405666410051,true\n"
+        "weak11_mass,0,0,1,true\n"
+        "kadison_failures,5,0,1,true\n"
+    )
 
 
 def test_sweep(z_config, tmp_path, capsys):
