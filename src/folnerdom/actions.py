@@ -7,26 +7,20 @@ functions on Q or symmetric rational matrices conjugated by the
 permutation matrices.  Ergodic averages over a Folner set push the
 uniform measure through q first, so the cost scales with |Q|, not |F_n|.
 
-A quotient is given by its states and q alone.  The states are group
-elements, one representative per element of Q with q(s) == s, and the
-quotient law is the group's own law from ``groups.py`` followed by q:
-q * s = q(mul(q, s)) and q^-1 = q(inv(q)).  Since q is a homomorphism
-this is the law of Q, so no quotient writes its law a second time.
-
-Shipped quotients: Z^d -> (Z/m)^d, Heisenberg with entries mod m, and
-lamplighter -> (Z/m) x| (Z/2)^m (position mod m, lamp parity per residue
-class).
+A quotient is given by its states and q alone, and each group supplies
+its own as ``Group.quotient(m)`` (see ``groups.py``), so the quotient law
+is the group's law followed by q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 from .chains import Chain
-from .groups import Group, Heisenberg, Lamplighter, Zd
+from .groups import Group, Zd
 from .measures import FinSupMeasure
 from .sets import FiniteSubset
 
@@ -221,18 +215,20 @@ class FiniteAction:
         """Pushforward of uniform(F) through the quotient map."""
         if len(F) == 0:
             raise ValueError("empty Folner set")
-        counts: dict[int, int] = {}
-        for g in F:
-            i = self.state_of(g)
-            counts[i] = counts.get(i, 0) + 1
-        return {i: Fraction(c, len(F)) for i, c in counts.items()}
+        return self._push(zip(F, repeat(1)), len(F))
 
     def push_measure(self, mu: FinSupMeasure) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for g, mass in mu.items():
+        return self._push(mu.numerators.items(), mu.denominator)
+
+    def _push(self, numerators: Iterable, denominator: int) -> dict[int, Fraction]:
+        """The one pushforward loop: integer numerators summed per state.
+        Uniform(F) is streamed as (g, 1) pairs rather than built as a
+        measure, whose dict would add |F| entries to the peak memory."""
+        counts: dict[int, int] = {}
+        for g, num in numerators:
             i = self.state_of(g)
-            out[i] = out.get(i, 0) + mass
-        return out
+            counts[i] = counts.get(i, 0) + num
+        return {i: Fraction(c, denominator) for i, c in counts.items()}
 
     def apply_push(self, push: dict[int, Fraction], x: Observable) -> Observable:
         acc: Observable | None = None
@@ -252,34 +248,8 @@ class FiniteAction:
 
 def zd_mod_action(d: int, m: int) -> FiniteAction:
     """Z^d acting on (Z/m)^d by translation."""
-    return FiniteAction(Zd(d), product(range(m), repeat=d), lambda g: tuple(v % m for v in g))
-
-
-def heisenberg_mod_action(m: int) -> FiniteAction:
-    """Heisenberg group with all three entries reduced mod m."""
-    return FiniteAction(
-        Heisenberg(), product(range(m), repeat=3), lambda g: (g[0] % m, g[1] % m, g[2] % m)
-    )
-
-
-def lamplighter_mod_action(m: int) -> FiniteAction:
-    """Lamplighter onto (Z/m) x| (Z/2)^m: position mod m, lamp parity per
-    residue class.  States are (t, lamps) with t and the lamps in [0, m),
-    ordered by t, then by the bit pattern of the lamps."""
-
-    def lamps_of(bits: int) -> frozenset:
-        return frozenset(k for k in range(m) if bits >> k & 1)
-
-    def qmap(g):
-        t, lamps = g
-        bits = 0
-        for k in lamps:
-            bits ^= 1 << (k % m)
-        return (t % m, lamps_of(bits))
-
-    return FiniteAction(
-        Lamplighter(), ((t, lamps_of(bits)) for t in range(m) for bits in range(2**m)), qmap
-    )
+    group = Zd(d)
+    return FiniteAction(group, *group.quotient(m))
 
 
 # -- the operators of the ergodic theorem -----------------------------------

@@ -3,11 +3,12 @@
 This is the package's only front end.  Every run is a pure function of
 (config, seed): output files are byte-identical across repeats.  Exit
 codes: 0 all checks pass, 2 a certified check failed (or, as for
-argparse's own usage errors, the config is invalid), 3 a size/budget cap
-stopped the run.  ``main`` is the single place where a cap hit
-(SizeCapExceeded, from any stage of any subcommand) becomes exit 3 and a
-``budget:`` line on stderr, and where a ConfigError becomes argparse's
-``error: config: ...`` line and exit 2.
+argparse's own usage errors, the config is invalid), 3 a size cap or the
+extraction budget stopped the run.  ``main`` is the single place where a
+cap hit (SizeCapExceeded, from any stage of any subcommand) becomes exit 3
+and a ``budget:`` line on stderr, and where a ConfigError becomes
+argparse's ``error: config: ...`` line and exit 2.  ``_build_chain`` is
+the single place where a chain is built from a config.
 
 Certificate fields serialize rationals as {"num": ..., "den": ...} string
 pairs and CSV cells as "num/den"; floats never appear in them.  Float
@@ -32,10 +33,7 @@ from .actions import (
     Observable,
     check_dominance,
     convergence_diagnostics,
-    ergodic_average,
-    heisenberg_mod_action,
     kadison_check,
-    lamplighter_mod_action,
     weak11_probe,
     zd_mod_action,
 )
@@ -49,7 +47,6 @@ from .dominance import (
 )
 from .errors import ConfigError, SizeCapExceeded
 from .groups import Group, group_from_token, word_ball
-from .measures import FinSupMeasure
 from .schedules import Schedule, fn_size, ftilde_size
 from .sets import FiniteSubset, extract_subsequence
 
@@ -95,30 +92,38 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _whole(value, what: str, least: int) -> int:
+    """``value`` if it is an integer >= ``least``; otherwise a ConfigError."""
+    if not isinstance(value, int) or value < least:
+        raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _wholes(values, what: str, least: int) -> list[int]:
+    """A nonempty list of integers >= ``least``; otherwise a ConfigError."""
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{what} must be a nonempty list")
+    return [_whole(v, what, least) for v in values]
+
+
 def _schedule_from(cfg: dict, depth_flag: int | None) -> Schedule:
     s = cfg.get("schedule", {})
-    try:
-        return Schedule(
-            tail_base=s.get("tail_base", 2),
-            length_base=s.get("length_base", 2),
-            depth=s.get("depth", 2) if depth_flag is None else depth_flag,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
+    return Schedule(
+        tail_base=_whole(s.get("tail_base", 2), "schedule.tail_base", 2),
+        length_base=_whole(s.get("length_base", 2), "schedule.length_base", 2),
+        # certificates start at level 2
+        depth=_whole(s.get("depth", 2) if depth_flag is None else depth_flag, "depth", 2),
+    )
 
 
 def _folner_sets(cfg: dict, group: Group, cap: int | None) -> list[FiniteSubset]:
     fol = cfg.get("folner", {})
     kind = fol.get("kind", "balls")
     if kind == "balls":
-        radii = fol.get("radii")
-        if not radii:
-            raise ConfigError("folner.radii required for kind=balls")
+        radii = _wholes(fol.get("radii"), "folner.radii", 0)
         return [FiniteSubset(group, word_ball(group, r, cap)) for r in radii]
     if kind == "lamplighter":
-        indices = fol.get("indices")
-        if not indices:
-            raise ConfigError("folner.indices required for kind=lamplighter")
+        indices = _wholes(fol.get("indices"), "folner.indices", 1)
         return [lamplighter_folner(n, cap)[1] for n in indices]
     if kind == "custom":
         sets = []
@@ -133,26 +138,38 @@ def _folner_sets(cfg: dict, group: Group, cap: int | None) -> list[FiniteSubset]
 
 
 def _build_chain(cfg: dict, cap: int | None, depth_flag: int | None) -> Chain:
+    """The config's chain, the one ``chain`` writes and the other
+    subcommands certify: its Folner sets, the subsequence extraction when
+    the config has an ``extract`` block, then E_n and omega.  Extraction out
+    of budget is a cap hit."""
     group = group_from_token(cfg["group"])
     sched = _schedule_from(cfg, depth_flag)
-    if sched.depth < 2:
-        raise ConfigError("depth must be >= 2: certificates start at level 2")
+    ex = cfg.get("extract")
+    budget = _whole(ex.get("budget", 64), "extract.budget", 1) if ex else None
     Fsub = _folner_sets(cfg, group, cap)
+    if any(F.group != group for F in Fsub):
+        raise ConfigError(f"folner sets must lie in the config's group {group.token()}")
     if len(Fsub) < sched.depth:
         raise ConfigError("fewer Folner sets than schedule depth")
+    if budget is not None:
+        res = extract_subsequence(
+            enumerate(Fsub, 1), sched.N, sched.eps, depth=sched.depth, budget=budget, cap=cap
+        )
+        if res.status != "ok":
+            # candidates the failing step could try: the budget, or fewer
+            # when the Folner sets run out first
+            tried = min(budget, len(Fsub) - res.steps[-1].index)
+            best = "none" if res.best_ratio is None else str(res.best_ratio)
+            step = f"extraction step {len(res.steps) + 1} (best ratio {best}, budget {budget})"
+            raise SizeCapExceeded(step, tried + 1, tried, "candidates")
+        Fsub = [s.folner_set for s in res.steps]
     return build_chain(Fsub, sched, sched.depth, cap)
 
 
 def _action_from(cfg: dict) -> FiniteAction:
-    m = cfg.get("action", {}).get("modulus", 4)
-    if not isinstance(m, int) or m < 1:
-        raise ConfigError(f"action.modulus must be an integer >= 1, got {m!r}")
+    m = _whole(cfg.get("action", {}).get("modulus", 4), "action.modulus", 1)
     group = group_from_token(cfg["group"])
-    if group.kind == "zd":
-        return zd_mod_action(group.d, m)
-    if group.kind == "heisenberg":
-        return heisenberg_mod_action(m)
-    return lamplighter_mod_action(m)
+    return FiniteAction(group, *group.quotient(m))
 
 
 def _observable_from(spec: dict, act: FiniteAction) -> Observable:
@@ -178,11 +195,10 @@ def _simulate_params(sim: dict, group: Group) -> tuple[list, Fraction, Fraction,
     """(convergence indices, tolerance, eps, kadison_trials, kadison_dim) of
     the simulate section; lamplighter indices n give F~_n, others radii."""
     if group.kind == "lamplighter":
-        key, conv_ns = "convergence_indices", sim.get("convergence_indices", [2, 5, 8])
+        key, default, least = "convergence_indices", [2, 5, 8], 1
     else:
-        key, conv_ns = "convergence_radii", sim.get("convergence_radii", [1, 4, 16, 64])
-    if not conv_ns:
-        raise ConfigError(f"simulate.{key} must be nonempty")
+        key, default, least = "convergence_radii", [1, 4, 16, 64], 0
+    conv_ns = _wholes(sim.get(key, default), f"simulate.{key}", least)
     try:
         tol = Fraction(sim.get("tolerance", "1/1000"))
         eps = Fraction(sim.get("eps", "1/8"))
@@ -190,12 +206,8 @@ def _simulate_params(sim: dict, group: Group) -> tuple[list, Fraction, Fraction,
         raise ConfigError(f"simulate: tolerance and eps must be rationals: {exc}") from exc
     if eps <= 0:
         raise ConfigError("simulate.eps must be positive")
-    trials = sim.get("kadison_trials", 25)
-    dim = sim.get("kadison_dim", 3)
-    if not isinstance(trials, int) or trials < 0:
-        raise ConfigError("simulate.kadison_trials must be an integer >= 0")
-    if not isinstance(dim, int) or dim < 1:
-        raise ConfigError("simulate.kadison_dim must be an integer >= 1")
+    trials = _whole(sim.get("kadison_trials", 25), "simulate.kadison_trials", 0)
+    dim = _whole(sim.get("kadison_dim", 3), "simulate.kadison_dim", 1)
     return conv_ns, tol, eps, trials, dim
 
 
@@ -213,8 +225,7 @@ def cmd_census(cfg: dict, out: str, cap: int | None, depth: int | None, seed: in
     """Lamplighter cardinalities vs closed forms; ball growth otherwise."""
     group = group_from_token(cfg["group"])
     nmax = cfg.get("census", {}).get("max_index", 6) if depth is None else depth
-    if not isinstance(nmax, int) or nmax < 1:
-        raise ConfigError("census index must be an integer >= 1")
+    nmax = _whole(nmax, "census index", 1)
     rows = ["n,card_ftilde,formula_ftilde,card_f,formula_f,match"]
     all_match = True
     if group.kind == "lamplighter":
@@ -234,34 +245,8 @@ def cmd_census(cfg: dict, out: str, cap: int | None, depth: int | None, seed: in
 
 
 def cmd_chain(cfg: dict, out: str, cap: int | None, depth: int | None, seed: int) -> int:
-    """Optionally extract a subsequence, then build E_n, omega, manifest."""
-    group = group_from_token(cfg["group"])
-    sched = _schedule_from(cfg, depth)
-    Fsub = _folner_sets(cfg, group, cap)
-    ex = cfg.get("extract")
-    if ex:
-        res = extract_subsequence(
-            enumerate(Fsub, 1),
-            sched.N,
-            sched.eps,
-            depth=sched.depth,
-            budget=ex.get("budget", 64),
-            cap=cap,
-        )
-        if res.status != "ok":
-            best = "none" if res.best_ratio is None else str(res.best_ratio)
-            atomic_write(
-                os.path.join(out, "chain.json"),
-                json.dumps(
-                    {"schema": 1, "status": "budget", "best_ratio": best},
-                    indent=2,
-                    sort_keys=True,
-                )
-                + "\n",
-            )
-            return EXIT_BUDGET
-        Fsub = [s.folner_set for s in res.steps]
-    chain = build_chain(Fsub, sched, sched.depth, cap)
+    """Write the chain's F_n and E_n sets, omega.csv and the chain.json manifest."""
+    chain = _build_chain(cfg, cap, depth)
     set_files = {}
     for n in range(1, chain.depth + 1):
         Fn, En = chain.level(n)

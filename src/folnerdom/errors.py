@@ -20,8 +20,8 @@ class SizeCapExceeded(RuntimeError):
     with an explicit, larger budget instead of silently truncating.
     """
 
-    def __init__(self, what: str, needed: int, cap: int):
+    def __init__(self, what: str, needed: int, cap: int, unit: str = "elements"):
         self.what = what
         self.needed = needed
         self.cap = cap
-        super().__init__(f"{what}: needs {needed} elements, cap is {cap}")
+        super().__init__(f"{what}: needs {needed} {unit}, cap is {cap}")

@@ -12,11 +12,23 @@ Every element has a canonical byte encoding (tag byte, then signed
 varints; lamp sets length-prefixed and sorted ascending) which is
 injective and is used as the serialization key and the deterministic
 tie-break order everywhere downstream.
+
+Each group names its finite quotient mod m as ``quotient(m) -> (states,
+qmap)``, the input of ``actions.FiniteAction``.  ``qmap`` is the quotient
+homomorphism q; the states are group elements, one representative per
+element of the quotient with q(s) == s.  The quotient law is the group's
+own law followed by q: q * s = q(mul(q, s)) and q^-1 = q(inv(q)).  Since q
+is a homomorphism this is the law of the quotient, so no quotient writes
+its law a second time.  Z^d -> (Z/m)^d and the Heisenberg group with all
+three entries mod m share one definition (int tuples reduced coordinatewise
+mod m: both laws are integer polynomials); the lamplighter maps onto
+(Z/m) x| (Z/2)^m (position mod m, lamp parity per residue class).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from itertools import product
+from typing import Callable, Iterable, Iterator
 
 from .errors import GroupMismatchError, SizeCapExceeded
 
@@ -79,6 +91,11 @@ class Group:
     def token(self) -> str:
         """Short text descriptor, invertible via group_from_token()."""
         return self.kind
+
+    def quotient(self, m: int) -> tuple[Iterable, Callable]:
+        """(states, qmap) of the quotient mod m: int tuples reduced
+        coordinatewise, states in lexicographic order."""
+        return product(range(m), repeat=len(self.identity)), lambda g: tuple(v % m for v in g)
 
     def __eq__(self, other):
         return type(self) is type(other) and self.token() == other.token()
@@ -204,6 +221,22 @@ class Lamplighter(Group):
         if lamps != sorted(set(lamps)):
             raise ValueError("lamp set not strictly sorted")
         return (t, frozenset(lamps)), pos
+
+    def quotient(self, m: int) -> tuple[Iterable, Callable]:
+        """(Z/m) x| (Z/2)^m: states (t, lamps) with t and the lamps in
+        [0, m), ordered by t, then by the bit pattern of the lamps."""
+
+        def lamps_of(bits: int) -> frozenset:
+            return frozenset(k for k in range(m) if bits >> k & 1)
+
+        def qmap(g):
+            t, lamps = g
+            bits = 0
+            for k in lamps:
+                bits ^= 1 << (k % m)
+            return (t % m, lamps_of(bits))
+
+        return ((t, lamps_of(bits)) for t in range(m) for bits in range(2**m)), qmap
 
 
 def group_from_token(token: str) -> Group:

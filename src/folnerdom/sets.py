@@ -146,29 +146,13 @@ def is_symmetric_with_identity(A: FiniteSubset) -> bool:
 
 
 def interior_left(H: FiniteSubset, K: FiniteSubset) -> FiniteSubset:
-    """{g in K : Hg subset K}, via incremental intersection with early exit."""
-    require_same_group(H.group, K.group)
-    mul = K.group.mul
-    kel = K.elements
-    current = kel
-    for h in H.elements:
-        current = frozenset(g for g in current if mul(h, g) in kel)
-        if not current:
-            break
-    return FiniteSubset(K.group, current)
+    """{g in K : Hg subset K}."""
+    return interior_bilateral(H, FiniteSubset.identity_set(K.group), K)
 
 
 def interior_right(H: FiniteSubset, K: FiniteSubset) -> FiniteSubset:
     """{g in K : gH subset K}."""
-    require_same_group(H.group, K.group)
-    mul = K.group.mul
-    kel = K.elements
-    current = kel
-    for h in H.elements:
-        current = frozenset(g for g in current if mul(g, h) in kel)
-        if not current:
-            break
-    return FiniteSubset(K.group, current)
+    return interior_bilateral(FiniteSubset.identity_set(K.group), H, K)
 
 
 def interior_bilateral(

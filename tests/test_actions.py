@@ -16,10 +16,8 @@ from folnerdom.actions import (
     check_dominance,
     convergence_diagnostics,
     ergodic_average,
-    heisenberg_mod_action,
     invariant_projection,
     kadison_check,
-    lamplighter_mod_action,
     markov_apply,
     psd_check,
     psd_order_holds,
@@ -27,12 +25,14 @@ from folnerdom.actions import (
     zd_mod_action,
 )
 from folnerdom.chains import lamplighter_folner
-from folnerdom.groups import Zd
+from folnerdom.groups import Heisenberg, Lamplighter, Zd
 from folnerdom.measures import FinSupMeasure
 from folnerdom.sets import FiniteSubset
 from conftest import z_interval
 
 Z = Zd(1)
+H = Heisenberg()
+L = Lamplighter()
 
 
 def zset(*vals) -> FiniteSubset:
@@ -100,8 +100,8 @@ def _random_lamplighter(rng):
     "make,element",
     [
         (lambda: zd_mod_action(2, 3), _random_zd2),
-        (lambda: heisenberg_mod_action(3), _random_heisenberg),
-        (lambda: lamplighter_mod_action(2), _random_lamplighter),
+        (lambda: FiniteAction(H, *H.quotient(3)), _random_heisenberg),
+        (lambda: FiniteAction(L, *L.quotient(2)), _random_lamplighter),
     ],
     ids=["zd:2-mod-3", "heisenberg-mod-3", "lamplighter-mod-2"],
 )
@@ -196,7 +196,7 @@ def test_convergence_exact_zero_when_period_divides():
 
 def test_convergence_lamplighter_exact_zero():
     # F~_n pushes uniformly onto the quotient when m divides n + 1
-    act = lamplighter_mod_action(3)
+    act = FiniteAction(L, *L.quotient(3))
     ft = lamplighter_folner(5)[0]
     push = act.push_set(ft)
     assert set(push.values()) == {Fraction(1, act.size)}
@@ -248,7 +248,7 @@ def test_check_dominance_function_and_matrix(z_chain2):
 
 
 def test_lamplighter_states_in_bit_pattern_order():
-    act = lamplighter_mod_action(3)
+    act = FiniteAction(L, *L.quotient(3))
     assert act.states[0] == act.group.identity
     assert act.states[1 * 8 + 0b101] == (1, frozenset({0, 2}))
     assert act.state_of((4, frozenset({-1, 2, 3, 5}))) == 1 * 8 + 0b101
@@ -263,4 +263,4 @@ def test_states_must_be_representatives():
     with pytest.raises(ValueError, match="nonempty"):
         zd_mod_action(2, 0)
     with pytest.raises(ValueError, match="nonempty"):
-        lamplighter_mod_action(-1)
+        FiniteAction(L, *L.quotient(-1))

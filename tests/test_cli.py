@@ -71,6 +71,27 @@ def _keep(cfg):
     pass
 
 
+def _lamplighter(indices=(1, 2), convergence_indices=(2, 5)):
+    """Edit into a small lamplighter config with the given index lists."""
+
+    def edit(cfg):
+        cfg.update(group="lamplighter", folner={"kind": "lamplighter", "indices": list(indices)})
+        cfg["action"] = {"modulus": 3}
+        cfg["simulate"]["convergence_indices"] = list(convergence_indices)
+
+    return edit
+
+
+def _extract(radii, budget):
+    """Edit: Folner balls of the given radii, picked by extraction under a budget."""
+
+    def edit(cfg):
+        cfg["folner"] = {"kind": "balls", "radii": radii}
+        cfg["extract"] = {"budget": budget}
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "cmd,edit,flags",
     [
@@ -108,6 +129,26 @@ def _keep(cfg):
         # --depth 1 used to crash in finite_n_lower_bound
         pytest.param("simulate", _keep, ("--depth", "1"), id="simulate-depth-1"),
         pytest.param("census", _keep, ("--depth", "0"), id="census-depth-0"),
+        # the values below used to end in a traceback with exit 1
+        pytest.param("dominate", _set("folner", radii=[-1, 16]), (), id="negative-radius"),
+        pytest.param(
+            "simulate", _set("simulate", convergence_radii=[-1, 8]), (), id="negative-convergence-radius"
+        ),
+        pytest.param("dominate", _lamplighter(indices=[0, 2]), (), id="lamplighter-index-0"),
+        pytest.param(
+            "simulate", _lamplighter(convergence_indices=[0, 2]), (), id="lamplighter-convergence-index-0"
+        ),
+        pytest.param("dominate", _set("schedule", tail_base="2"), (), id="tail-base-string"),
+        pytest.param("dominate", _set("schedule", length_base=2.5), (), id="length-base-2.5"),
+        pytest.param("chain", _set("extract", budget="8"), (), id="extract-budget-string"),
+        pytest.param("chain", _set("extract", budget=0), (), id="extract-budget-0"),
+        # Folner sets from another group used to be certified (and crash simulate)
+        pytest.param(
+            "dominate", _set("folner", kind="lamplighter", indices=[1, 2]), (), id="dominate-wrong-group"
+        ),
+        pytest.param(
+            "simulate", _set("folner", kind="lamplighter", indices=[1, 2]), (), id="simulate-wrong-group"
+        ),
     ],
 )
 def test_invalid_config_is_usage_error(z_config, tmp_path, capsys, cmd, edit, flags):
@@ -159,15 +200,52 @@ def test_chain_outputs(z_config, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "cmd,cap",
-    [("census", 10), ("chain", 40), ("dominate", 40), ("sweep", 40), ("simulate", 100)],
+    "cmd,edit,flags,what",
+    [
+        pytest.param("census", _keep, ("--cap", "10"), "word_ball", id="census-10"),
+        pytest.param("chain", _keep, ("--cap", "40"), "E_2", id="chain-40"),
+        pytest.param("dominate", _keep, ("--cap", "40"), "E_2", id="dominate-40"),
+        pytest.param("sweep", _keep, ("--cap", "40"), "E_2", id="sweep-40"),
+        # simulate hits the cap in its convergence balls, after the certificate
+        pytest.param("simulate", _keep, ("--cap", "100"), "word_ball", id="simulate-100"),
+        # radius 2 is the one candidate the budget allows, and it is not
+        # eps_2-invariant enough: |E_2 \ F_2| / |F_2| = 8/5
+        pytest.param(
+            "chain", _extract([1, 2, 3, 16], 1), (), "extraction step 2 (best ratio 8/5, budget 1)",
+            id="chain-extract-budget-1",
+        ),
+        pytest.param(
+            "dominate", _extract([1, 2, 3, 16], 1), (), "extraction step 2 (best ratio 8/5, budget 1)",
+            id="dominate-extract-budget-1",
+        ),
+        pytest.param(
+            "dominate", _extract([1, 2, 3], 64), (), "extraction step 2 (best ratio 8/7, budget 64)",
+            id="dominate-extract-out-of-sets",  # the Folner sets run out first
+        ),
+    ],
 )
-def test_cap_hit_exits_budget(z_config, tmp_path, capsys, cmd, cap):
-    # simulate hits the cap in its convergence balls, after the certificate
+def test_cap_hit_exits_budget(z_config, tmp_path, capsys, cmd, edit, flags, what):
+    cfg = json.loads(open(z_config).read())
+    edit(cfg)
+    config = write_config(tmp_path / "edited.json", cfg)
     out = tmp_path / "out"
-    assert run(cmd, z_config, out, "--cap", str(cap)) == EXIT_BUDGET
-    assert capsys.readouterr().err.startswith("budget: ")
-    assert not list(out.glob("*"))
+    assert run(cmd, config, out, *flags) == EXIT_BUDGET
+    assert capsys.readouterr().err.startswith(f"budget: {what}")
+    assert not out.exists()
+
+
+def test_extraction_chain_is_the_certified_chain(z_config, tmp_path):
+    # dominate used to skip the extract block and certify F_2 = [-2, 2]
+    cfg = json.loads(open(z_config).read())
+    _extract([1, 2, 3, 16], 64)(cfg)
+    config = write_config(tmp_path / "extract.json", cfg)
+    assert run("chain", config, tmp_path / "chain") == EXIT_PASS
+    assert run("dominate", config, tmp_path / "dom") == EXIT_PASS
+    chain = json.loads((tmp_path / "chain" / "chain.json").read_text())["levels"]
+    dom = json.loads((tmp_path / "dom" / "dominance.json").read_text())["levels"]
+    sizes = {lvl["n"]: (lvl["card_F"], lvl["card_E"]) for lvl in chain}
+    assert sizes[2] == (33, 41)  # F_2 = [-16, 16], the first radius with ratio < 1/4
+    assert {lvl["n"]: (lvl["card_F"], lvl["card_E"]) for lvl in dom} == {2: sizes[2]}
 
 
 def test_custom_folner_roundtrip(z_config, tmp_path):

@@ -92,11 +92,19 @@ def brute_interior(H1, H2, K):
     )
 
 
+# flanks may be empty: then H1 g H2 is empty and the interior is all of K
+flank_zsets = st.frozensets(
+    st.integers(min_value=-8, max_value=8), max_size=6
+).map(lambda s: FiniteSubset.of(Z, ((v,) for v in s)))
+
+
 @settings(max_examples=100, deadline=None)
-@given(small_zsets, small_zsets, small_zsets)
+@given(flank_zsets, flank_zsets, small_zsets)
 def test_interior_matches_definition_scan(H1, H2, K):
-    assert interior_bilateral(H1, H2, K).elements == brute_interior(H1, H2, K)
     e = FiniteSubset.identity_set(Z)
+    # {e} on either flank is the one-sided interior
+    for A, B in ((H1, H2), (H1, e), (e, H2)):
+        assert interior_bilateral(A, B, K).elements == brute_interior(A, B, K)
     assert interior_left(H1, K).elements == brute_interior(H1, e, K)
     assert interior_right(H2, K).elements == brute_interior(e, H2, K)
 
