@@ -6,6 +6,9 @@ through the quotient homomorphism q, and observables are rational-valued
 functions on Q or symmetric rational matrices conjugated by the
 permutation matrices.  Ergodic averages over a Folner set push the
 uniform measure through q first, so the cost scales with |Q|, not |F_n|.
+``FiniteAction.apply_push`` then sums the permuted copies of x in
+integers: the push weights over one common denominator, the entries of x
+over another, and one Fraction per output entry at the end.
 
 A quotient is given by its states and q alone, and each group supplies
 its own as ``Group.quotient(m)`` (see ``groups.py``), so the quotient law
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .chains import Chain
@@ -113,6 +117,13 @@ class Observable:
             raise ValueError("observable shape mismatch")
 
 
+def _over_common_denominator(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """(D, [v * D for v in values]), D the least common denominator."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
 def psd_check(mat: Sequence[Sequence[Fraction]]) -> tuple[bool, Fraction]:
     """Exact PSD test by pivoted LDL^T on a symmetric rational matrix.
 
@@ -192,10 +203,14 @@ class FiniteAction:
             self._perm_cache[qi] = cached
         return cached
 
+    def _inverse_perm(self, qi: int) -> tuple[int, ...]:
+        """Permutation s -> q^{-1} s of state indices, for quotient element qi."""
+        return self.perm(self.state_of(self.group.inv(self.states[qi])))
+
     def act(self, qi: int, x: Observable) -> Observable:
         """alpha_q(x)(s) = x(q^{-1} s); matrices conjugated by the same
         permutation."""
-        sigma_inv = self.perm(self.state_of(self.group.inv(self.states[qi])))  # s -> q^{-1} s
+        sigma_inv = self._inverse_perm(qi)
         if x.kind == "function":
             return Observable("function", tuple(x.data[sigma_inv[s]] for s in range(self.size)))
         return Observable(
@@ -231,13 +246,35 @@ class FiniteAction:
         return {i: Fraction(c, denominator) for i, c in counts.items()}
 
     def apply_push(self, push: dict[int, Fraction], x: Observable) -> Observable:
-        acc: Observable | None = None
-        for qi, w in sorted(push.items()):
-            term = self.act(qi, x).scale(w)
-            acc = term if acc is None else acc.add(term)
-        if acc is None:
+        """sum_q w_q alpha_q(x) for the pushforward ``push`` = {q: w_q}.
+
+        Computed in integers: the weights are brought to one common
+        denominator D_w and the entries of x to another, D_x, so that each
+        output entry is the integer sum_q c_q X[sigma_q^-1 i][sigma_q^-1 j]
+        (c_q = w_q D_w, X = D_x x) over D_w D_x, and one Fraction is built
+        per entry at the end.  Fractions are canonical, so the values are
+        those of summing the scaled copies alpha_q(x) w_q one by one.
+        """
+        if not push:
             raise ValueError("empty pushforward")
-        return acc
+        wden, weights = _over_common_denominator(push.values())
+        terms = list(zip(weights, map(self._inverse_perm, push)))
+        n = self.size
+        if x.kind == "function":
+            xden, xs = _over_common_denominator(x.data)
+            den = wden * xden
+            return Observable(
+                "function", tuple(Fraction(sum(c * xs[s[i]] for c, s in terms), den) for i in range(n))
+            )
+        xden, flat = _over_common_denominator(v for row in x.data for v in row)
+        mat = [flat[i * n : (i + 1) * n] for i in range(n)]
+        acc = [[0] * n for _ in range(n)]
+        for c, s in terms:
+            for i, si in enumerate(s):
+                xr = mat[si]
+                acc[i] = [a + c * xr[k] for a, k in zip(acc[i], s)]
+        den = wden * xden
+        return Observable("matrix", tuple(tuple(Fraction(v, den) for v in row) for row in acc))
 
     def one_norm(self, x: Observable) -> Fraction:
         """tau(|x|) = (1/|Q|) sum_s |x(s)|, for function observables."""

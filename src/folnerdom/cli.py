@@ -106,8 +106,16 @@ def _wholes(values, what: str, least: int) -> list[int]:
     return [_whole(v, what, least) for v in values]
 
 
+def _section(parent: dict, key: str, what: str | None = None) -> dict:
+    """The JSON object under ``key`` ({} when absent); otherwise a ConfigError."""
+    sec = parent.get(key, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{what or key} must be a JSON object, got {sec!r}")
+    return sec
+
+
 def _schedule_from(cfg: dict, depth_flag: int | None) -> Schedule:
-    s = cfg.get("schedule", {})
+    s = _section(cfg, "schedule")
     return Schedule(
         tail_base=_whole(s.get("tail_base", 2), "schedule.tail_base", 2),
         length_base=_whole(s.get("length_base", 2), "schedule.length_base", 2),
@@ -117,7 +125,7 @@ def _schedule_from(cfg: dict, depth_flag: int | None) -> Schedule:
 
 
 def _folner_sets(cfg: dict, group: Group, cap: int | None) -> list[FiniteSubset]:
-    fol = cfg.get("folner", {})
+    fol = _section(cfg, "folner")
     kind = fol.get("kind", "balls")
     if kind == "balls":
         radii = _wholes(fol.get("radii"), "folner.radii", 0)
@@ -144,7 +152,7 @@ def _build_chain(cfg: dict, cap: int | None, depth_flag: int | None) -> Chain:
     of budget is a cap hit."""
     group = group_from_token(cfg["group"])
     sched = _schedule_from(cfg, depth_flag)
-    ex = cfg.get("extract")
+    ex = _section(cfg, "extract")
     budget = _whole(ex.get("budget", 64), "extract.budget", 1) if ex else None
     Fsub = _folner_sets(cfg, group, cap)
     if any(F.group != group for F in Fsub):
@@ -167,7 +175,7 @@ def _build_chain(cfg: dict, cap: int | None, depth_flag: int | None) -> Chain:
 
 
 def _action_from(cfg: dict) -> FiniteAction:
-    m = _whole(cfg.get("action", {}).get("modulus", 4), "action.modulus", 1)
+    m = _whole(_section(cfg, "action").get("modulus", 4), "action.modulus", 1)
     group = group_from_token(cfg["group"])
     return FiniteAction(group, *group.quotient(m))
 
@@ -224,7 +232,7 @@ def certify_levels(chain: Chain, cap: int | None) -> tuple[list[DominanceReport]
 def cmd_census(cfg: dict, out: str, cap: int | None, depth: int | None, seed: int) -> int:
     """Lamplighter cardinalities vs closed forms; ball growth otherwise."""
     group = group_from_token(cfg["group"])
-    nmax = cfg.get("census", {}).get("max_index", 6) if depth is None else depth
+    nmax = _section(cfg, "census").get("max_index", 6) if depth is None else depth
     nmax = _whole(nmax, "census index", 1)
     rows = ["n,card_ftilde,formula_ftilde,card_f,formula_f,match"]
     all_match = True
@@ -287,20 +295,16 @@ def cmd_dominate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
 
 def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: int) -> int:
     """Convergence, dominance transfer, weak (1,1) probe, Kadison battery."""
-    sim = cfg.get("simulate", {})
+    sim = _section(cfg, "simulate")
     act = _action_from(cfg)
     conv_ns, tol, eps, trials, dim = _simulate_params(sim, act.group)
-    x = _observable_from(sim.get("observable", {}), act)
+    x = _observable_from(_section(sim, "observable", "simulate.observable"), act)
     if x.size != act.size:
         raise ConfigError(f"observable has {x.size} states, the action has {act.size}")
     rng = random.Random(seed)
     failures = 0
-    chain = _build_chain(cfg, cap, depth)
-    rep = dominance_report(chain, chain.depth, cap)
-    if rep.c_emp is None or rep.verdict != "pass":
-        print("dominance certificate failed; cannot transfer", file=sys.stderr)
-        return EXIT_FAIL
-
+    # the convergence sets come first, so that a cap they exceed stops the
+    # run before the certificate work
     group = act.group
     conv_sets: list[tuple[int, FiniteSubset]] = []
     for n in conv_ns:
@@ -308,6 +312,11 @@ def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
             conv_sets.append((n, lamplighter_folner(n, cap)[0]))
         else:
             conv_sets.append((n, FiniteSubset(group, word_ball(group, n, cap))))
+    chain = _build_chain(cfg, cap, depth)
+    rep = dominance_report(chain, chain.depth, cap)
+    if rep.c_emp is None or rep.verdict != "pass":
+        print("dominance certificate failed; cannot transfer", file=sys.stderr)
+        return EXIT_FAIL
 
     rows = ["check,n,value_num,value_den,ok"]
     diag = convergence_diagnostics(act, conv_sets, x)
@@ -342,14 +351,12 @@ def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
 
 def cmd_sweep(cfg: dict, out: str, cap: int | None, depth: int | None, seed: int) -> int:
     """Dominance constants across a grid of tail bases."""
-    bases = cfg.get("sweep", {}).get("tail_bases", [2, 3, 4])
-    if not bases:
-        raise ConfigError("sweep.tail_bases must be nonempty")
+    bases = _wholes(_section(cfg, "sweep").get("tail_bases", [2, 3, 4]), "sweep.tail_bases", 2)
     rows = ["tail_base,n,min_scaled,bound,c_emp,verdict"]
     worst = EXIT_PASS
     for c in bases:
         local = dict(cfg)
-        local["schedule"] = dict(cfg.get("schedule", {}), tail_base=c)
+        local["schedule"] = dict(_section(cfg, "schedule"), tail_base=c)
         chain = _build_chain(local, cap, depth)
         reports, code = certify_levels(chain, cap)
         worst = max(worst, code)

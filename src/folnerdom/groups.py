@@ -13,6 +13,13 @@ varints; lamp sets length-prefixed and sorted ascending) which is
 injective and is used as the serialization key and the deterministic
 tie-break order everywhere downstream.
 
+``word_ball(group, r, cap)`` is the entry point for word balls and calls
+``group.ball``.  The base class builds the ball by breadth-first closure
+under the generators; Heisenberg and the lamplighter use it, and it is the
+test oracle.  ``Zd`` overrides it: the L1 ball is sized in closed form,
+so a cap is checked before any element is built, and then enumerated
+coordinate by coordinate.
+
 Each group names its finite quotient mod m as ``quotient(m) -> (states,
 qmap)``, the input of ``actions.FiniteAction``.  ``qmap`` is the quotient
 homomorphism q; the states are group elements, one representative per
@@ -28,6 +35,7 @@ mod m: both laws are integer polynomials); the lamplighter maps onto
 from __future__ import annotations
 
 from itertools import product
+from math import comb
 from typing import Callable, Iterable, Iterator
 
 from .errors import GroupMismatchError, SizeCapExceeded
@@ -97,6 +105,27 @@ class Group:
         coordinatewise, states in lexicographic order."""
         return product(range(m), repeat=len(self.identity)), lambda g: tuple(v % m for v in g)
 
+    def ball(self, radius: int, cap: int | None) -> frozenset:
+        """The word ball of ``word_ball``, by breadth-first closure under
+        the generators; raises before the ball outgrows ``cap``."""
+        seen = {self.identity}
+        frontier = [self.identity]
+        mul = self.mul
+        for _ in range(radius):
+            nxt = []
+            for a in frontier:
+                for g in self.generators:
+                    x = mul(a, g)
+                    if x not in seen:
+                        if cap is not None and len(seen) >= cap:
+                            raise SizeCapExceeded("word_ball", len(seen) + 1, cap)
+                        seen.add(x)
+                        nxt.append(x)
+            if not nxt:
+                break
+            frontier = nxt
+        return frozenset(seen)
+
     def __eq__(self, other):
         return type(self) is type(other) and self.token() == other.token()
 
@@ -128,6 +157,19 @@ class Zd(Group):
 
     def inv(self, a):
         return tuple(-x for x in a)
+
+    def ball(self, radius: int, cap: int | None) -> frozenset:
+        """The L1 ball of radius r, sized first in closed form,
+        sum_k 2^k C(d, k) C(r, k), then enumerated coordinate by coordinate,
+        each coordinate spending part of the remaining radius."""
+        size = sum(2**k * comb(self.d, k) * comb(radius, k) for k in range(self.d + 1))
+        # the closure holds the identity before it checks the cap
+        if cap is not None and size > max(cap, 1):
+            raise SizeCapExceeded("word_ball", max(cap, 1) + 1, cap)
+        heads = [((), radius)]  # (first coordinates, radius left for the rest)
+        for _ in range(self.d - 1):
+            heads = [(h + (v,), left - abs(v)) for h, left in heads for v in range(-left, left + 1)]
+        return frozenset(h + (v,) for h, left in heads for v in range(-left, left + 1))
 
     def encode(self, a) -> bytes:
         out = bytearray([_TAG_ZD])
@@ -258,30 +300,15 @@ def word_ball(group: Group, radius: int, cap: int | None = None) -> frozenset:
     """Elements expressible as products of at most ``radius`` generators.
 
     The generating set must be symmetric, so the ball is symmetric and
-    contains the identity.  Breadth-first closure; raises SizeCapExceeded
-    before the ball outgrows ``cap``.
+    contains the identity.  ``group.ball`` builds it, and raises
+    SizeCapExceeded("word_ball", cap + 1, cap) when it has more than ``cap``
+    elements (for cap >= 1; the identity alone never exceeds the cap).
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if not group.generators:
         raise ValueError("empty generating set")
-    seen = {group.identity}
-    frontier = [group.identity]
-    mul = group.mul
-    for _ in range(radius):
-        nxt = []
-        for a in frontier:
-            for g in group.generators:
-                x = mul(a, g)
-                if x not in seen:
-                    if cap is not None and len(seen) >= cap:
-                        raise SizeCapExceeded("word_ball", len(seen) + 1, cap)
-                    seen.add(x)
-                    nxt.append(x)
-        if not nxt:
-            break
-        frontier = nxt
-    return frozenset(seen)
+    return group.ball(radius, cap)
 
 
 def generated_closure(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +119,37 @@ def test_action_is_homomorphism(make, element):
         rhs = act.act_element(g, act.act_element(h, x))
         assert lhs.data == rhs.data
         assert act.act_element(G.inv(g), act.act_element(g, x)).data == x.data
+
+
+QUOTIENTS = [FiniteAction(G, *G.quotient(m)) for G, m in ((Zd(2), 3), (H, 2), (L, 2))]
+signed_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+
+
+@st.composite
+def pushes_and_observables(draw):
+    """A quotient action, a push with one or more states and weights of mixed
+    denominators and signs, and a function or symmetric matrix observable."""
+    act = draw(st.sampled_from(QUOTIENTS))
+    n = act.size
+    push = draw(st.dictionaries(st.integers(0, n - 1), signed_rationals, min_size=1, max_size=n))
+    if draw(st.booleans()):
+        return act, push, Observable.function(draw(st.lists(signed_rationals, min_size=n, max_size=n)))
+    upper = draw(st.lists(signed_rationals, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    cells = iter(upper)
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(cells)
+    return act, push, Observable.matrix(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pushes_and_observables())
+def test_apply_push_matches_the_fold(case):
+    """The integer kernel against summing the scaled copies alpha_q(x) w_q."""
+    act, push, x = case
+    fold = reduce(Observable.add, (act.act(q, x).scale(w) for q, w in sorted(push.items())))
+    assert act.apply_push(push, x) == fold
 
 
 def test_cesaro_mean_reduces_to_average_of_iterates():

@@ -67,6 +67,10 @@ def _set(section, **fields):
     return lambda cfg: cfg.setdefault(section, {}).update(fields)
 
 
+def _put(section, value):
+    return lambda cfg: cfg.__setitem__(section, value)
+
+
 def _keep(cfg):
     pass
 
@@ -149,6 +153,17 @@ def _extract(radii, budget):
         pytest.param(
             "simulate", _set("folner", kind="lamplighter", indices=[1, 2]), (), id="simulate-wrong-group"
         ),
+        # sections that are not JSON objects used to end in an AttributeError
+        pytest.param("chain", _put("extract", True), (), id="extract-true"),
+        pytest.param("dominate", _put("schedule", 3), (), id="schedule-3"),
+        pytest.param("simulate", _put("simulate", []), (), id="simulate-list"),
+        pytest.param("dominate", _put("folner", "balls"), (), id="folner-string"),
+        pytest.param("simulate", _put("action", 4), (), id="action-4"),
+        pytest.param("census", _put("census", 6), (), id="census-6"),
+        pytest.param("sweep", _put("sweep", [2, 3]), (), id="sweep-list"),
+        pytest.param("simulate", _set("simulate", observable="indicator"), (), id="observable-string"),
+        # used to end in a TypeError
+        pytest.param("sweep", _set("sweep", tail_bases=3), (), id="tail-bases-3"),
     ],
 )
 def test_invalid_config_is_usage_error(z_config, tmp_path, capsys, cmd, edit, flags):
@@ -206,7 +221,7 @@ def test_chain_outputs(z_config, tmp_path):
         pytest.param("chain", _keep, ("--cap", "40"), "E_2", id="chain-40"),
         pytest.param("dominate", _keep, ("--cap", "40"), "E_2", id="dominate-40"),
         pytest.param("sweep", _keep, ("--cap", "40"), "E_2", id="sweep-40"),
-        # simulate hits the cap in its convergence balls, after the certificate
+        # simulate hits the cap in its convergence balls, before the certificate
         pytest.param("simulate", _keep, ("--cap", "100"), "word_ball", id="simulate-100"),
         # radius 2 is the one candidate the budget allows, and it is not
         # eps_2-invariant enough: |E_2 \ F_2| / |F_2| = 8/5
@@ -231,6 +246,18 @@ def test_cap_hit_exits_budget(z_config, tmp_path, capsys, cmd, edit, flags, what
     out = tmp_path / "out"
     assert run(cmd, config, out, *flags) == EXIT_BUDGET
     assert capsys.readouterr().err.startswith(f"budget: {what}")
+    assert not out.exists()
+
+
+def test_simulate_checks_its_balls_before_the_chain(z_config, tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the chain was built before the convergence balls")
+
+    monkeypatch.setattr("folnerdom.cli._build_chain", never)
+    out = tmp_path / "out"
+    # the radius-4096 ball has 8193 elements
+    assert run("simulate", z_config, out, "--cap", "4000") == EXIT_BUDGET
+    assert capsys.readouterr().err == "budget: word_ball: needs 4001 elements, cap is 4000\n"
     assert not out.exists()
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from folnerdom.errors import GroupMismatchError, SizeCapExceeded
 from folnerdom.groups import (
+    Group,
     Heisenberg,
     Lamplighter,
     Zd,
@@ -109,6 +110,27 @@ def test_word_ball_cap():
     with pytest.raises(SizeCapExceeded) as exc:
         word_ball(Zd(2), 10, cap=7)
     assert "cap is 7" in str(exc.value)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_zd_ball_matches_breadth_first_closure(d):
+    """Z^d enumerates its ball directly; the base-class closure is the oracle,
+    for the elements and for caps below, at and above the ball size: the
+    same SizeCapExceeded, message and ``needed`` included, or the same ball."""
+    G = Zd(d)
+    for r in range(7):
+        bfs = Group.ball(G, r, None)
+        assert word_ball(G, r) == bfs
+        for cap in range(max(len(bfs) - 2, 0), len(bfs) + 2):
+            try:
+                expected = Group.ball(G, r, cap)
+            except SizeCapExceeded as exc:
+                assert cap < len(bfs)
+                with pytest.raises(SizeCapExceeded) as got:
+                    word_ball(G, r, cap)
+                assert (got.value.needed, str(got.value)) == (exc.needed, str(exc))
+            else:
+                assert word_ball(G, r, cap) == expected == bfs
 
 
 def test_cardinality_biinvariance():
