@@ -37,31 +37,33 @@ def _lamp_subsets(n: int) -> list[frozenset]:
     return out
 
 
+def lamplighter_ftilde(n: int, cap: int | None = None) -> FiniteSubset:
+    """F~_n = {(t, K) : t in [0,n], K subset [0,n]}, right-Folner only."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if cap is not None and ftilde_size(n) > cap:
+        raise SizeCapExceeded("lamplighter F~_n", ftilde_size(n), cap)
+    subs = _lamp_subsets(n)
+    return FiniteSubset.of(Lamplighter(), ((t, K) for t in range(n + 1) for K in subs))
+
+
 def lamplighter_folner(n: int, cap: int | None = None) -> tuple[FiniteSubset, FiniteSubset]:
     """(F~_n, F_n) for the lamplighter group.
 
-    F~_n = {(t, K) : t in [0,n], K subset [0,n]} is right-Folner only;
     F_n = F~_n^{-1} F~_n = {(t'-t, -t+K)} is two-sided, symmetric, and
     contains the identity.  Built by direct parametrization, never by the
     |F~_n|^2 pairwise product.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    for name, size in (("F~_n", ftilde_size(n)), ("F_n", fn_size(n))):
-        if cap is not None and size > cap:
-            raise SizeCapExceeded(f"lamplighter {name}", size, cap)
-    G = Lamplighter()
+    ftilde = lamplighter_ftilde(n, cap)
+    if cap is not None and fn_size(n) > cap:
+        raise SizeCapExceeded("lamplighter F_n", fn_size(n), cap)
     rng = range(n + 1)
     subs = _lamp_subsets(n)
-    ftilde = FiniteSubset.of(G, ((t, K) for t in rng for K in subs))
     big = set()
     for t in rng:
         shifted = [frozenset(k - t for k in K) for K in subs]
-        for tp in rng:
-            u = tp - t
-            for L in shifted:
-                big.add((u, L))
-    return ftilde, FiniteSubset(G, frozenset(big))
+        big.update((tp - t, L) for tp in rng for L in shifted)
+    return ftilde, FiniteSubset(ftilde.group, frozenset(big))
 
 
 @dataclass(frozen=True)
@@ -94,8 +96,9 @@ def build_E_sequence(
     depth = len(Fsub) if depth is None else depth
     if not 1 <= depth <= len(Fsub):
         raise ValueError("depth must be between 1 and len(Fsub)")
-    if not is_symmetric_with_identity(Fsub[0]):
-        raise ValueError("F_1 must be symmetric and contain the identity")
+    for n, Fn in enumerate(Fsub[:depth], 1):
+        if not is_symmetric_with_identity(Fn):
+            raise ValueError(f"F_{n} must be symmetric and contain the identity")
     E = [Fsub[0]]
     for n in range(2, depth + 1):
         try:

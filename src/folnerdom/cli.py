@@ -37,7 +37,7 @@ from .actions import (
     weak11_probe,
     zd_mod_action,
 )
-from .chains import Chain, _rat, build_chain, chain_manifest, lamplighter_folner
+from .chains import Chain, _rat, build_chain, chain_manifest, lamplighter_folner, lamplighter_ftilde
 from .dominance import (
     DominanceReport,
     dominance_report,
@@ -48,7 +48,7 @@ from .dominance import (
 from .errors import ConfigError, SizeCapExceeded
 from .groups import Group, group_from_token, word_ball
 from .schedules import Schedule, fn_size, ftilde_size
-from .sets import FiniteSubset, extract_subsequence
+from .sets import FiniteSubset, extract_subsequence, is_symmetric_with_identity
 
 EXIT_PASS = 0
 EXIT_FAIL = 2
@@ -153,10 +153,13 @@ def _build_chain(cfg: dict, cap: int | None, depth_flag: int | None) -> Chain:
     group = group_from_token(cfg["group"])
     sched = _schedule_from(cfg, depth_flag)
     ex = _section(cfg, "extract")
-    budget = _whole(ex.get("budget", 64), "extract.budget", 1) if ex else None
+    budget = _whole(ex.get("budget", 64), "extract.budget", 1) if "extract" in cfg else None
     Fsub = _folner_sets(cfg, group, cap)
     if any(F.group != group for F in Fsub):
         raise ConfigError(f"folner sets must lie in the config's group {group.token()}")
+    for i, F in enumerate(Fsub, 1):
+        if not is_symmetric_with_identity(F):
+            raise ConfigError(f"folner set {i} must be symmetric and contain the identity")
     if len(Fsub) < sched.depth:
         raise ConfigError("fewer Folner sets than schedule depth")
     if budget is not None:
@@ -309,7 +312,7 @@ def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
     conv_sets: list[tuple[int, FiniteSubset]] = []
     for n in conv_ns:
         if group.kind == "lamplighter":
-            conv_sets.append((n, lamplighter_folner(n, cap)[0]))
+            conv_sets.append((n, lamplighter_ftilde(n, cap)))
         else:
             conv_sets.append((n, FiniteSubset(group, word_ball(group, n, cap))))
     chain = _build_chain(cfg, cap, depth)

@@ -7,33 +7,17 @@ are exposed as Fractions.  Support capping drops the smallest atoms
 pointwise lower bound -- dropped mass can only weaken a ">=" certificate,
 never fake one.
 
-``convolve`` is the one place where numerator dicts are convolved.  It
-picks a kernel by group, then applies the cap and reduces the fraction
-the same way whichever kernel ran:
-
-* ``Zd`` -- Kronecker substitution (Schoenhage 1982; Harvey, J. Symb.
-  Comput. 2009).  Each operand's numerators are packed densely over its
-  bounding box into one Python int, in fixed-width byte slots indexed by
-  one mixed-radix index whose stride on each axis is the span of the
-  *output* box on that axis, so a sum of two indices never wraps into
-  another axis.  One bigint multiply then does the whole convolution.  An
-  output coefficient sums at most ``min(|a|, |b|)`` products (each x in a
-  meets at most one y in b with x + y = k), each below
-  ``2^bits(max a) * 2^bits(max b)``, so a slot of
-  ``bits(max a) + bits(max b) + bits(min(|a|, |b|))`` bits, rounded up to
-  whole bytes, holds it and no carry crosses a slot.  When the output box
-  has more slots than ``|a| * |b|`` (sparse, wide supports) the packing
-  would cost more than the pairwise loop, so the loop runs instead.
-* every other group -- the pairwise loop over the group law.  It is also
-  the reference the Zd kernel is tested against.
+``convolve`` is the one place where measures are convolved.  It takes the
+raw numerators from the group's exact kernel, ``group.convolve`` (see
+``groups``), then applies the cap and reduces the fraction the same way
+whichever kernel ran.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .groups import Group, group_from_token, require_same_group
@@ -181,69 +165,6 @@ def _reduce(num: dict, den: int) -> tuple[dict, int]:
     return {k: n // g for k, n in num.items()}, den // g
 
 
-def _convolve_pairs(group: Group, a: dict, b: dict) -> dict:
-    """Raw numerators of a * b by the group law, one product per pair."""
-    mulop = group.mul
-    out: dict = {}
-    get = out.get
-    b_items = list(b.items())
-    for x, va in a.items():
-        for y, vb in b_items:
-            k = mulop(x, y)
-            out[k] = get(k, 0) + va * vb
-    return out
-
-
-def _pack(cols: list, values: Iterable, lo: list, strides: list, slot: int) -> int:
-    """Numerators as one int: slot ``sum_i (x_i - lo_i) * strides_i`` holds num[x].
-
-    ``cols`` are the coordinate columns of the support, in the order of ``values``.
-    """
-    idx = [0] * len(cols[0])
-    for col, l, s in zip(cols, lo, strides):
-        idx = [i + (c - l) * s for i, c in zip(idx, col)]
-    buf = bytearray(slot * (max(idx) + 1))
-    for i, v in zip(idx, values):
-        buf[i * slot : (i + 1) * slot] = v.to_bytes(slot, "little")
-    return int.from_bytes(buf, "little")
-
-
-def _convolve_zd(group: Group, a: dict, b: dict) -> dict:
-    """Raw numerators of a * b on Z^d by Kronecker substitution (module docstring)."""
-    if not a or not b:
-        return {}
-    cols_a, cols_b = list(zip(*a)), list(zip(*b))
-    lo_a = [min(c) for c in cols_a]
-    lo_b = [min(c) for c in cols_b]
-    lo = [p + q for p, q in zip(lo_a, lo_b)]
-    span = [max(p) + max(q) - l + 1 for p, q, l in zip(cols_a, cols_b, lo)]
-    size = prod(span)
-    if size > len(a) * len(b):
-        return _convolve_pairs(group, a, b)
-    strides = [prod(span[i + 1 :]) for i in range(len(span))]
-    bits = (
-        max(a.values()).bit_length()
-        + max(b.values()).bit_length()
-        + min(len(a), len(b)).bit_length()
-    )
-    slot = (bits + 7) // 8
-    packed = _pack(cols_a, a.values(), lo_a, strides, slot) * _pack(
-        cols_b, b.values(), lo_b, strides, slot
-    )
-    raw = packed.to_bytes(slot * size, "little")
-    # row-major order of the output box is the slot order
-    points = product(*(range(l, l + s) for l, s in zip(lo, span)))
-    out = {}
-    for x, off in zip(points, range(0, slot * size, slot)):
-        n = int.from_bytes(raw[off : off + slot], "little")
-        if n:
-            out[x] = n
-    return out
-
-
-_KERNELS = {"zd": _convolve_zd}
-
-
 def convolve(
     mu: FinSupMeasure, nu: FinSupMeasure, cap: int | None = None
 ) -> FinSupMeasure:
@@ -253,8 +174,7 @@ def convolve(
     the output is flagged as a pointwise lower bound.
     """
     require_same_group(mu.group, nu.group)
-    kernel = _KERNELS.get(mu.group.kind, _convolve_pairs)
-    out = kernel(mu.group, mu.numerators, nu.numerators)
+    out = mu.group.convolve(mu.numerators, nu.numerators)
     den = mu.denominator * nu.denominator
     out, dropped = _apply_cap(mu.group, out, den, cap)
     out, den = _reduce(out, den)

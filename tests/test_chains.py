@@ -106,12 +106,14 @@ def test_interior_equality_on_z_but_not_lamplighter(z_chain2, ll_chain):
 
 
 def test_build_E_requires_symmetric_base():
-    asym = z_interval(2).group  # build a non-symmetric F_1 by shifting
     from folnerdom.sets import FiniteSubset
 
-    F1 = FiniteSubset.of(Z, ((i,) for i in range(0, 5)))
-    with pytest.raises(ValueError):
-        build_E_sequence([F1, z_interval(16)], Schedule(depth=2))
+    shifted = FiniteSubset.of(Z, ((i,) for i in range(0, 5)))
+    with pytest.raises(ValueError, match="F_1 must be symmetric"):
+        build_E_sequence([shifted, z_interval(16)], Schedule(depth=2))
+    # every level, not only the first: E_2 of this chain is not symmetric
+    with pytest.raises(ValueError, match="F_2 must be symmetric"):
+        build_E_sequence([z_interval(2), shifted], Schedule(depth=2))
 
 
 def test_build_E_cap_reports_level():

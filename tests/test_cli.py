@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from folnerdom.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, load_config, main
+from folnerdom.groups import Zd
+from folnerdom.sets import FiniteSubset
 
 
 def write_config(path, doc):
@@ -223,6 +225,11 @@ def test_chain_outputs(z_config, tmp_path):
         pytest.param("sweep", _keep, ("--cap", "40"), "E_2", id="sweep-40"),
         # simulate hits the cap in its convergence balls, before the certificate
         pytest.param("simulate", _keep, ("--cap", "100"), "word_ball", id="simulate-100"),
+        # simulate needs only F~_n: F~_5 (384 elements) fits, F~_8 does not
+        pytest.param(
+            "simulate", _lamplighter(convergence_indices=(2, 5, 8)), ("--cap", "1000"),
+            "lamplighter F~_n: needs 4608 elements", id="simulate-lamplighter-1000",
+        ),
         # radius 2 is the one candidate the budget allows, and it is not
         # eps_2-invariant enough: |E_2 \ F_2| / |F_2| = 8/5
         pytest.param(
@@ -262,17 +269,37 @@ def test_simulate_checks_its_balls_before_the_chain(z_config, tmp_path, capsys, 
 
 
 def test_extraction_chain_is_the_certified_chain(z_config, tmp_path):
-    # dominate used to skip the extract block and certify F_2 = [-2, 2]
+    # dominate used to skip the extract block and certify F_2 = [-2, 2];
+    # an empty block used to skip the extraction, though its budget defaults to 64
+    for i, block in enumerate(({"budget": 64}, {})):
+        cfg = json.loads(open(z_config).read())
+        cfg.update(folner={"kind": "balls", "radii": [1, 2, 3, 16]}, extract=block)
+        config = write_config(tmp_path / f"extract{i}.json", cfg)
+        assert run("chain", config, tmp_path / f"chain{i}") == EXIT_PASS
+        assert run("dominate", config, tmp_path / f"dom{i}") == EXIT_PASS
+        chain = json.loads((tmp_path / f"chain{i}" / "chain.json").read_text())["levels"]
+        dom = json.loads((tmp_path / f"dom{i}" / "dominance.json").read_text())["levels"]
+        sizes = {lvl["n"]: (lvl["card_F"], lvl["card_E"]) for lvl in chain}
+        assert sizes[2] == (33, 41)  # F_2 = [-16, 16], the first radius with ratio < 1/4
+        assert {lvl["n"]: (lvl["card_F"], lvl["card_E"]) for lvl in dom} == {2: sizes[2]}
+
+
+def test_custom_folner_sets_must_be_symmetric(z_config, tmp_path, capsys):
+    # dominate used to pass this chain, though its E_2 is not symmetric
+    files = []
+    for n, (lo, hi) in enumerate(((-2, 2), (0, 39)), 1):
+        path = tmp_path / f"F_{n}.set"
+        path.write_text(FiniteSubset.of(Zd(1), ((i,) for i in range(lo, hi + 1))).serialize())
+        files.append(str(path))
     cfg = json.loads(open(z_config).read())
-    _extract([1, 2, 3, 16], 64)(cfg)
-    config = write_config(tmp_path / "extract.json", cfg)
-    assert run("chain", config, tmp_path / "chain") == EXIT_PASS
-    assert run("dominate", config, tmp_path / "dom") == EXIT_PASS
-    chain = json.loads((tmp_path / "chain" / "chain.json").read_text())["levels"]
-    dom = json.loads((tmp_path / "dom" / "dominance.json").read_text())["levels"]
-    sizes = {lvl["n"]: (lvl["card_F"], lvl["card_E"]) for lvl in chain}
-    assert sizes[2] == (33, 41)  # F_2 = [-16, 16], the first radius with ratio < 1/4
-    assert {lvl["n"]: (lvl["card_F"], lvl["card_E"]) for lvl in dom} == {2: sizes[2]}
+    cfg["folner"] = {"kind": "custom", "files": files}
+    config = write_config(tmp_path / "custom.json", cfg)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run("dominate", config, out)
+    assert exc.value.code == 2
+    assert "error: config: folner set 2 must be symmetric" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_custom_folner_roundtrip(z_config, tmp_path):

@@ -133,6 +133,30 @@ def test_zd_ball_matches_breadth_first_closure(d):
                 assert word_ball(G, r, cap) == expected == bfs
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_zd_product_matches_pairwise_product(d, data):
+    """Z^d takes its set product from the Kronecker kernel; the base-class
+    loop is the oracle, for caps below, at and above |AB|: the same set, or
+    SizeCapExceeded with the exact size as ``needed``."""
+    G = Zd(d)
+    radius = data.draw(st.sampled_from([1, 4, 10**6]))  # dense boxes, and wide sparse ones
+    points = st.frozensets(st.tuples(*[st.integers(-radius, radius)] * d), max_size=12)
+    A, B = data.draw(points), data.draw(points)
+    ref = Group.product(G, A, B, None)
+    assert G.product(A, B, None) == ref
+    for cap in range(max(len(ref) - 2, 0), len(ref) + 2):
+        if cap < len(ref):
+            with pytest.raises(SizeCapExceeded):
+                Group.product(G, A, B, cap)
+            with pytest.raises(SizeCapExceeded) as got:
+                G.product(A, B, cap)
+            assert (got.value.what, got.value.needed) == ("set product", len(ref))
+        else:
+            assert G.product(A, B, cap) == Group.product(G, A, B, cap) == ref
+
+
 def test_cardinality_biinvariance():
     L = Lamplighter()
     A = [(0, frozenset()), (1, frozenset({0})), (-2, frozenset({1, 3}))]

@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 
 from folnerdom.chains import lamplighter_folner
 from folnerdom.errors import SizeCapExceeded
-from folnerdom.groups import Lamplighter, Zd
+from folnerdom.groups import Heisenberg, Lamplighter, Zd, word_ball
 from folnerdom.sets import (
     FiniteSubset,
     extract_subsequence,
     folner_ratio,
     interior_bilateral,
-    interior_left,
-    interior_right,
     inverse_set,
     is_symmetric_with_identity,
     power,
@@ -73,7 +71,8 @@ def test_symmetrize():
 
 
 def test_interior_examples():
-    assert interior_left(zset(1), z_interval_0_5()).elements == {
+    e = FiniteSubset.identity_set(Z)
+    assert interior_bilateral(zset(1), e, z_interval_0_5()).elements == {
         (i,) for i in range(5)
     }
     assert interior_bilateral(z_interval(2), z_interval(2), z_interval(10)).elements == z_interval(6).elements
@@ -105,8 +104,19 @@ def test_interior_matches_definition_scan(H1, H2, K):
     # {e} on either flank is the one-sided interior
     for A, B in ((H1, H2), (H1, e), (e, H2)):
         assert interior_bilateral(A, B, K).elements == brute_interior(A, B, K)
-    assert interior_left(H1, K).elements == brute_interior(H1, e, K)
-    assert interior_right(H2, K).elements == brute_interior(e, H2, K)
+
+
+@pytest.mark.parametrize("group", [Zd(2), Heisenberg(), Lamplighter()], ids=lambda g: g.token())
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_interior_matches_definition_scan_on_each_group(group, data):
+    # K is a radius-3 ball with holes, so most interiors are neither empty nor all of K;
+    # the flanks may be empty
+    ball = sorted(word_ball(group, 3), key=group.encode)
+    near = sorted(word_ball(group, 1), key=group.encode)
+    K = FiniteSubset.of(group, set(ball) - data.draw(st.sets(st.sampled_from(ball), max_size=8)))
+    H1, H2 = (FiniteSubset.of(group, data.draw(st.sets(st.sampled_from(near), max_size=4))) for _ in range(2))
+    assert interior_bilateral(H1, H2, K).elements == brute_interior(H1, H2, K)
 
 
 def test_interior_lamplighter_f5():
@@ -126,8 +136,8 @@ def test_bilateral_inside_one_sided(H1, H2, K):
     H1e = FiniteSubset.of(Z, H1.elements | e.elements)
     H2e = FiniteSubset.of(Z, H2.elements | e.elements)
     both = interior_bilateral(H1e, H2e, K).elements
-    assert both <= interior_left(H1e, K).elements
-    assert both <= interior_right(H2e, K).elements
+    assert both <= interior_bilateral(H1e, e, K).elements
+    assert both <= interior_bilateral(e, H2e, K).elements
 
 
 @settings(max_examples=60, deadline=None)
