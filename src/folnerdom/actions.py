@@ -329,7 +329,6 @@ def check_dominance(
     n: int,
     x: Observable,
     c_emp: Fraction,
-    cap: int | None = None,
 ) -> tuple[bool, Fraction]:
     """A_n(x) <= c_emp * M_{N(n)}(x), pointwise or in PSD order.
 

@@ -1,4 +1,4 @@
-"""Envelope chains: the E_n recursion, the measure omega, and manifests.
+"""Envelope chains: the E_n recursion, the measure omega, its walk, and manifests.
 
 A chain bundles the Folner subsequence F_n, the envelopes
 
@@ -7,18 +7,23 @@ A chain bundles the Folner subsequence F_n, the envelopes
 and the sub-probability measure omega = sum_{n<=K} t_n u_{E_n} truncated at
 depth K (total mass 1 - r_{K+1}; renormalizing would silently change the
 weights, and every finite-n certificate only uses indices <= n).
+
+``Chain.powers`` is the walk omega^(0) = delta_e, omega^(1), ..., the one
+place where powers of omega are convolved.  Every level certificate and
+every lower estimate reads a prefix of it, so each power is built once per
+(chain, cap).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
 from .errors import SizeCapExceeded
 from .groups import Group, Lamplighter, generated_closure
-from .measures import FinSupMeasure, mix
+from .measures import FinSupMeasure, convolve, mix
 from .sets import (
     FiniteSubset,
     envelope_pad,
@@ -75,6 +80,7 @@ class Chain:
     envelopes: list[FiniteSubset]  # E_1 .. E_K
     schedule: Schedule
     omega: FinSupMeasure
+    _walks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def depth(self) -> int:
@@ -84,6 +90,20 @@ class Chain:
         if not 1 <= n <= self.depth:
             raise ValueError(f"level {n} outside chain depth {self.depth}")
         return self.folner[n - 1], self.envelopes[n - 1]
+
+    def powers(self, J: int, cap: int | None = None) -> list[FinSupMeasure]:
+        """[omega^(0), ..., omega^(J)] with omega^(0) = delta_e.
+
+        Each power is convolve(previous, omega, cap), so a cap truncates at
+        every step and taints every later power.  The walk is kept per cap
+        and extended on demand: a longer call reuses the shorter prefix.
+        """
+        if J < 0:
+            raise ValueError("J must be >= 0")
+        walk = self._walks.setdefault(cap, [FinSupMeasure.delta(self.group)])
+        while len(walk) <= J:
+            walk.append(convolve(walk[-1], self.omega, cap))
+        return walk[: J + 1]
 
 
 def build_E_sequence(
@@ -104,7 +124,7 @@ def build_E_sequence(
         try:
             En = padded_envelope(envelope_pad(E[-1], sched.N(n), cap), Fsub[n - 1], cap)
         except SizeCapExceeded as exc:
-            raise SizeCapExceeded(f"E_{n} ({exc.what})", exc.needed, exc.cap) from exc
+            raise SizeCapExceeded(f"E_{n} ({exc.what})", exc.needed, exc.cap, exc.unit) from exc
         E.append(En)
     return E
 

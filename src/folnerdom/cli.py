@@ -163,17 +163,10 @@ def _build_chain(cfg: dict, cap: int | None, depth_flag: int | None) -> Chain:
     if len(Fsub) < sched.depth:
         raise ConfigError("fewer Folner sets than schedule depth")
     if budget is not None:
-        res = extract_subsequence(
+        steps = extract_subsequence(
             enumerate(Fsub, 1), sched.N, sched.eps, depth=sched.depth, budget=budget, cap=cap
         )
-        if res.status != "ok":
-            # candidates the failing step could try: the budget, or fewer
-            # when the Folner sets run out first
-            tried = min(budget, len(Fsub) - res.steps[-1].index)
-            best = "none" if res.best_ratio is None else str(res.best_ratio)
-            step = f"extraction step {len(res.steps) + 1} (best ratio {best}, budget {budget})"
-            raise SizeCapExceeded(step, tried + 1, tried, "candidates")
-        Fsub = [s.folner_set for s in res.steps]
+        Fsub = [s.folner_set for s in steps]
     return build_chain(Fsub, sched, sched.depth, cap)
 
 
@@ -328,7 +321,7 @@ def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
     for n, d in diag:
         rows.append(f"convergence,{n},{d.numerator},{d.denominator},{str(d <= tol).lower()}")
 
-    ok, slack = check_dominance(act, chain, chain.depth, x, rep.c_emp, cap)
+    ok, slack = check_dominance(act, chain, chain.depth, x, rep.c_emp)
     failures += 0 if ok else 1
     rows.append(f"dominance_transfer,{chain.depth},{slack.numerator},{slack.denominator},{str(ok).lower()}")
 

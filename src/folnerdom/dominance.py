@@ -7,9 +7,12 @@ The certified statement at level n of a chain: for every g in F_n,
            ((1 - (1-r_n)^N)/(r_n N) - (1-r_n)^{N-1})  > 0,
 
 so the uniform average over F_n is dominated by C times the Cesaro mean
-of the omega-walk with C = 1 / (that minimum).  Everything on this page
-is exact rational arithmetic; floats appear only in the limit
-diagnostics, never in verdicts.
+of the omega-walk with C = 1 / (that minimum).  The level certificates
+and the lower estimates all read the chain's one walk, ``Chain.powers``,
+with the top power taken pointwise on F_n through ``convolve_at``; under a
+cap every value is a certified lower bound and the report is tainted.
+Everything on this page is exact rational arithmetic; floats appear only
+in the limit diagnostics, never in verdicts.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chains import Chain, _rat
-from .measures import FinSupMeasure, cesaro_density, convolution_powers, convolve_at
-from .sets import FiniteSubset
+from .measures import cesaro_density, convolve_at
 from .schedules import Schedule
 
 
@@ -49,20 +51,6 @@ def finite_n_lower_bound(
     return Fraction(lamF, lamE) * (1 - r_np1 / r_n) * bracket
 
 
-def min_scaled_cesaro(
-    omega: FinSupMeasure, N: int, Fn: FiniteSubset, cap: int | None = None
-) -> tuple[Fraction, bool]:
-    """min over g in F_n of (|F_n|/N) sum_{j<N} d omega^(j)/d lambda (g).
-
-    Returns (value, tainted); under capping the value is a certified
-    lower bound for the true minimum.
-    """
-    if len(Fn) == 0:
-        raise ValueError("F_n must be nonempty")
-    dens, tainted = cesaro_density(omega, N, Fn, cap)
-    return min(dens.values()) * len(Fn), tainted
-
-
 def lower_estimate_check(
     chain: Chain, n: int, j: int, cap: int | None = None
 ) -> tuple[bool, Fraction]:
@@ -78,9 +66,8 @@ def lower_estimate_check(
     if not 1 <= j < sched.N(n):
         raise ValueError("need 1 <= j < N(n)")
     Fn, En = chain.level(n)
-    # materialize up to j-1, evaluate the top power only on F_n
-    powers = convolution_powers(chain.omega, j - 1, cap)
-    dens = convolve_at(powers[-1], chain.omega, Fn.elements)
+    # the walk up to j-1, then the top power only on F_n
+    dens = convolve_at(chain.powers(j - 1, cap)[-1], chain.omega, Fn.elements)
     bound = sched.head(n) ** (j - 1) * sched.t(n) * j / len(En)
     worst = min(dens[g] - bound for g in Fn)
     return worst >= 0, worst
@@ -144,7 +131,8 @@ def dominance_report(chain: Chain, n: int, cap: int | None = None) -> DominanceR
         raise ValueError("chain shallower than requested level")
     Fn, En = chain.level(n)
     N = sched.N(n)
-    min_scaled, tainted = min_scaled_cesaro(chain.omega, N, Fn, cap)
+    dens, tainted = cesaro_density(chain.powers(N - 2, cap), chain.omega, Fn)
+    min_scaled = min(dens.values()) * len(Fn)
     bound = finite_n_lower_bound(len(Fn), len(En), sched.r(n), sched.r(n + 1), N)
     c_emp = None if min_scaled == 0 else 1 / min_scaled
     verdict = "pass" if (min_scaled >= bound and bound > 0) else "fail"

@@ -164,7 +164,8 @@ class Group:
 
     def product(self, A: Iterable, B: Iterable, cap: int | None) -> frozenset:
         """{ab : a in A, b in B} by the group law; the cap is checked after
-        each row, so a product past it stops early."""
+        each row, so a product past it stops early, and the size it reports
+        is a lower bound ("elements or more")."""
         mul = self.mul
         out = set()
         b_elems = list(B)
@@ -172,7 +173,7 @@ class Group:
             for b in b_elems:
                 out.add(mul(a, b))
             if cap is not None and len(out) > cap:
-                raise SizeCapExceeded("set product", len(out), cap)
+                raise SizeCapExceeded("set product", len(out), cap, "elements or more")
         return frozenset(out)
 
     def __eq__(self, other):

@@ -10,7 +10,9 @@ never fake one.
 ``convolve`` is the one place where measures are convolved.  It takes the
 raw numerators from the group's exact kernel, ``group.convolve`` (see
 ``groups``), then applies the cap and reduces the fraction the same way
-whichever kernel ran.
+whichever kernel ran.  The powers of omega are walked once per chain, by
+``Chain.powers`` (see ``chains``); ``cesaro_density`` reads a prefix of
+that walk and adds the last power pointwise through ``convolve_at``.
 """
 
 from __future__ import annotations
@@ -70,8 +72,6 @@ class FinSupMeasure:
     def mass(self, g) -> Fraction:
         """dmu/dlambda at g (counting measure: mass equals density)."""
         return Fraction(self.numerators.get(g, 0), self.denominator)
-
-    density = mass
 
     def support(self) -> FiniteSubset:
         return FiniteSubset(self.group, frozenset(self.numerators))
@@ -206,47 +206,26 @@ def convolve_at(mu: FinSupMeasure, nu: FinSupMeasure, points: Iterable) -> dict:
     return out
 
 
-def convolution_powers(
-    omega: FinSupMeasure, J: int, cap: int | None = None
-) -> list[FinSupMeasure]:
-    """[omega^(0), ..., omega^(J)] with omega^(0) = delta_e."""
-    if J < 0:
-        raise ValueError("J must be >= 0")
-    powers = [FinSupMeasure.delta(omega.group)]
-    for _ in range(J):
-        powers.append(convolve(powers[-1], omega, cap))
-    return powers
-
-
 def cesaro_density(
-    omega: FinSupMeasure,
-    N: int,
-    eval_set: FiniteSubset,
-    cap: int | None = None,
+    powers: Sequence[FinSupMeasure], omega: FinSupMeasure, eval_set: FiniteSubset
 ) -> tuple[dict, bool]:
-    """(1/N) sum_{j<N} d omega^(j)/d lambda on eval_set.
+    """(1/N) sum_{j<N} d omega^(j)/d lambda on eval_set, with N = len(powers) + 1.
 
-    Returns (element -> Fraction, tainted).  Powers up to N-2 are
-    materialized; the last power is evaluated only at the requested
-    points, which keeps the N-th convolution from dominating the cost.
-    Values are exact, or certified lower bounds when capping occurred.
+    ``powers`` is [omega^(0), ..., omega^(N-2)], a prefix of the chain's
+    walk (``Chain.powers``); the last power omega^(N-1) is evaluated only at
+    the requested points, by ``convolve_at``, which keeps the N-th
+    convolution from dominating the cost.  Returns (element -> Fraction,
+    tainted): exact values, or certified lower bounds when a power was capped.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
     require_same_group(omega.group, eval_set.group)
-    if len(eval_set) == 0:
-        raise ValueError("empty evaluation set")
-    powers = convolution_powers(omega, max(N - 2, 0), cap)
-    totals = {g: Fraction(0) for g in eval_set.elements}
-    for p in powers[:N]:
+    if not powers or len(eval_set) == 0:
+        raise ValueError("need omega^(0) and a nonempty evaluation set")
+    N = len(powers) + 1
+    totals = convolve_at(powers[-1], omega, eval_set.elements)
+    for p in powers:
         for g in totals:
             totals[g] += p.mass(g)
-    tainted = any(p.truncated for p in powers[:N])
-    if N - 1 > len(powers) - 1:
-        last = convolve_at(powers[-1], omega, totals)
-        for g, v in last.items():
-            totals[g] += v
-        tainted = tainted or powers[-1].truncated or omega.truncated
+    tainted = omega.truncated or any(p.truncated for p in powers)
     return {g: v / N for g, v in totals.items()}, tainted
 
 

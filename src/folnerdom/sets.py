@@ -45,19 +45,6 @@ class FiniteSubset:
     def __contains__(self, el) -> bool:
         return el in self.elements
 
-    @property
-    def cardinality(self) -> int:
-        """lambda(A) for the counting Haar measure."""
-        return len(self.elements)
-
-    def union(self, other: "FiniteSubset") -> "FiniteSubset":
-        require_same_group(self.group, other.group)
-        return FiniteSubset(self.group, self.elements | other.elements)
-
-    def difference(self, other: "FiniteSubset") -> "FiniteSubset":
-        require_same_group(self.group, other.group)
-        return FiniteSubset(self.group, self.elements - other.elements)
-
     def issubset(self, other: "FiniteSubset") -> bool:
         require_same_group(self.group, other.group)
         return self.elements <= other.elements
@@ -198,13 +185,6 @@ class ExtractionStep:
     ratio: Fraction  # |E_k \ F_{n_k}| / |F_{n_k}|
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
-    steps: list[ExtractionStep]
-    status: str  # "ok" | "budget"
-    best_ratio: Fraction | None = None  # best ratio seen on a failed step
-
-
 def extract_subsequence(
     folner: Iterable[tuple[int, FiniteSubset]],
     N: Callable[[int], int],
@@ -212,7 +192,7 @@ def extract_subsequence(
     depth: int,
     budget: int = 64,
     cap: int | None = None,
-) -> ExtractionResult:
+) -> list[ExtractionStep]:
     """Pick a subsequence F_{n_k} whose envelopes E_k stay eps_k-close.
 
     ``folner`` yields (index, set) pairs with strictly increasing indices.
@@ -222,9 +202,11 @@ def extract_subsequence(
         |E_k \\ F_{n_k}| / |F_{n_k}| < eps(k),
         E_k = (E_{k-1}^{N(k)-2})^{-1} F_{n_k} (E_{k-1}^{N(k)-2})^{-1},
 
-    or ``budget`` candidates have been tried, in which case the result
-    carries status "budget" and the best ratio found.  A success at step k
-    guarantees |F_{n_k}| / |E_k| >= 1 / (1 + eps(k)).
+    and returns the steps.  A step that tries ``budget`` candidates, or
+    runs out of them, without success is a cap hit: SizeCapExceeded names
+    the step, its best ratio and the budget, and counts the candidates it
+    tried as the cap.  A success at step k guarantees
+    |F_{n_k}| / |E_k| >= 1 / (1 + eps(k)).
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -259,7 +241,8 @@ def extract_subsequence(
             if tried >= budget:
                 break
         if found is None:
-            return ExtractionResult(steps, "budget", best)
+            what = f"extraction step {k} (best ratio {'none' if best is None else best}, budget {budget})"
+            raise SizeCapExceeded(what, tried + 1, tried, "candidates")
         steps.append(found)
         E_prev = found.envelope
-    return ExtractionResult(steps, "ok")
+    return steps

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from folnerdom import chains
 from folnerdom.chains import (
     build_chain,
     build_E_sequence,
@@ -16,8 +17,10 @@ from folnerdom.chains import (
     lamplighter_folner,
     support_generates,
 )
+from folnerdom.dominance import dominance_report
 from folnerdom.errors import SizeCapExceeded
 from folnerdom.groups import Lamplighter, Zd
+from folnerdom.measures import convolve
 from folnerdom.schedules import Schedule, fn_size, ftilde_size
 from folnerdom.sets import (
     interior_bilateral,
@@ -164,3 +167,42 @@ def test_level_bounds(z_chain2):
         z_chain2.level(0)
     with pytest.raises(ValueError):
         z_chain2.level(3)
+
+
+def test_powers_conventions():
+    # omega^(0) = delta_e, omega^(1) = omega, omega^(2) = omega * omega
+    chain = build_chain([z_interval(1), z_interval(4)], Schedule(depth=2))
+    powers = chain.powers(2)
+    assert powers[0].numerators == {Z.identity: 1}
+    assert powers[1].numerators == chain.omega.numerators
+    assert powers[2].numerators == convolve(chain.omega, chain.omega).numerators
+
+
+def test_powers_walk_once_across_levels(monkeypatch):
+    chain = build_chain([z_interval(1), z_interval(2), z_interval(4)], Schedule(depth=3))
+    calls = []
+    real = chains.convolve
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(chains, "convolve", counted)
+    # level 2 reads omega^(0..2) and level 3 omega^(0..6) of one walk
+    for n in (2, 3):
+        dominance_report(chain, n)
+    assert len(calls) == 6
+    assert chain.powers(6)[2] is chain.powers(2)[2]
+    assert len(calls) == 6
+
+
+def test_capped_and_exact_walks_stay_apart():
+    chain = build_chain([z_interval(1), z_interval(2)], Schedule(depth=2))
+    capped = chain.powers(3, cap=20)
+    exact = chain.powers(3)
+    assert [p.truncated for p in capped] == [False, False, True, True]
+    assert not any(p.truncated for p in exact)
+    assert [len(p) for p in exact] == [1, 13, 25, 37]
+    assert chain.powers(3, cap=20)[3] is capped[3] and chain.powers(3)[3] is exact[3]
+    for lo, hi in zip(capped, exact):
+        assert all(m <= hi.mass(g) for g, m in lo.items())

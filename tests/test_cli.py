@@ -230,6 +230,12 @@ def test_chain_outputs(z_config, tmp_path):
             "simulate", _lamplighter(convergence_indices=(2, 5, 8)), ("--cap", "1000"),
             "lamplighter F~_n: needs 4608 elements", id="simulate-lamplighter-1000",
         ),
+        # the pairwise set product stops at the first row past the cap, so
+        # 304 is a lower bound: P^-1 F_2 has 360 elements
+        pytest.param(
+            "chain", _lamplighter(), ("--cap", "300"),
+            "E_2 (set product): needs 304 elements or more, cap is 300\n", id="chain-lamplighter-300",
+        ),
         # radius 2 is the one candidate the budget allows, and it is not
         # eps_2-invariant enough: |E_2 \ F_2| / |F_2| = 8/5
         pytest.param(

@@ -15,7 +15,6 @@ from folnerdom.dominance import (
     limit_diagnostics,
     limit_profile,
     lower_estimate_check,
-    min_scaled_cesaro,
     reference_constant,
     report_to_dict,
 )
@@ -130,11 +129,11 @@ def test_lower_estimate_small_j(z_chain2):
 
 
 def test_min_scaled_cap_is_sound(z_chain2):
-    F2 = z_chain2.level(2)[0]
-    exact, t_exact = min_scaled_cesaro(z_chain2.omega, 4, F2)
-    capped, t_capped = min_scaled_cesaro(z_chain2.omega, 4, F2, cap=40)
-    assert not t_exact and t_capped
-    assert capped <= exact  # capping only ever lowers the certified value
+    exact = dominance_report(z_chain2, 2)
+    capped = dominance_report(z_chain2, 2, cap=40)
+    assert not exact.tainted and capped.tainted
+    # capping only ever lowers the certified value
+    assert capped.min_scaled <= exact.min_scaled
 
 
 def test_report_dict_shape(z_reports):

@@ -14,7 +14,6 @@ from folnerdom.groups import Group, Heisenberg, Lamplighter, Zd, word_ball
 from folnerdom.measures import (
     FinSupMeasure,
     cesaro_density,
-    convolution_powers,
     convolve,
     convolve_at,
     mix,
@@ -144,14 +143,6 @@ def test_zd_dispatch_reaches_kernel(monkeypatch):
     assert len(calls) == 9  # the wide output box takes the pairwise loop
 
 
-def test_convolution_powers_conventions():
-    u = FinSupMeasure.uniform(z_interval(1))
-    powers = convolution_powers(u, 2)
-    assert powers[0].numerators == {Z.identity: 1}
-    assert powers[1].numerators == u.numerators
-    assert powers[2].mass((2,)) == Fraction(1, 9)
-
-
 def test_two_term_omega_power_expansion():
     # omega = t1 u_{E1} + t2 u_{E2}; omega^(2) = sum_{i,j} t_i t_j u_i * u_j
     E1, E2 = z_interval(1), z_interval(3)
@@ -193,25 +184,40 @@ def test_cap_monotone_support():
         assert m <= m9.mass(g)
 
 
+def _walk(omega: FinSupMeasure, J: int) -> list[FinSupMeasure]:
+    powers = [FinSupMeasure.delta(omega.group)]
+    for _ in range(J):
+        powers.append(convolve(powers[-1], omega))
+    return powers
+
+
 def test_cesaro_density_examples():
     u = FinSupMeasure.uniform(z_interval(1))
-    one, tainted = cesaro_density(u, 1, z_interval(1))
+    two, tainted = cesaro_density(_walk(u, 0), u, z_interval(1))
     assert not tainted
-    assert one[(0,)] == 1 and one[(1,)] == 0
-    two, _ = cesaro_density(u, 2, FiniteSubset.singleton(Z, (0,)))
-    assert two[(0,)] == Fraction(2, 3)
+    assert two[(0,)] == Fraction(2, 3) and two[(1,)] == Fraction(1, 6)
+    three, _ = cesaro_density(_walk(u, 1), u, FiniteSubset.singleton(Z, (0,)))
+    assert three[(0,)] == Fraction(5, 9)  # (1 + 1/3 + 3/9) / 3
 
 
 def test_cesaro_density_matches_direct_power_sum():
-    u = mix([(Fraction(1, 2), FinSupMeasure.uniform(z_interval(1))),
-             (Fraction(1, 4), FinSupMeasure.uniform(z_interval(5)))])
+    # on Z (Kronecker kernel) and on Heisenberg (pairwise loop); the last
+    # power is taken pointwise, the sum here from the full convolution
+    H = Heisenberg()
+    h_ball = lambda r: FiniteSubset(H, word_ball(H, r))
+    cases = [
+        (Z, z_interval(1), z_interval(5), z_interval(4)),
+        (H, h_ball(1), h_ball(2), h_ball(2)),
+    ]
     N = 5
-    ev = z_interval(4)
-    fast, tainted = cesaro_density(u, N, ev)
-    powers = convolution_powers(u, N - 1)
-    for g in ev:
-        assert fast[g] == sum(p.mass(g) for p in powers) / N
-    assert not tainted
+    for group, small, big, ev in cases:
+        u = mix([(Fraction(1, 2), FinSupMeasure.uniform(small)),
+                 (Fraction(1, 4), FinSupMeasure.uniform(big))])
+        powers = _walk(u, N - 1)
+        fast, tainted = cesaro_density(powers[: N - 1], u, ev)
+        assert not tainted
+        for g in ev:
+            assert fast[g] == sum(p.mass(g) for p in powers) / N, group.token()
 
 
 def test_convolve_at_matches_full():

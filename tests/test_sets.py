@@ -196,9 +196,7 @@ def test_extract_subsequence_z():
     sched_N = lambda k: 2**k
     eps = lambda k: Fraction(1, 2**k)
     stream = ((n, z_interval(n)) for n in range(1, 64))
-    res = extract_subsequence(stream, sched_N, eps, depth=2)
-    assert res.status == "ok"
-    step = res.steps[1]
+    step = extract_subsequence(stream, sched_N, eps, depth=2)[1]
     # E_2 = [-(n+4), n+4]; first index with 8/(2n+1) < 1/4 is 16
     assert step.index == 16
     assert step.ratio == Fraction(8, 33)
@@ -207,34 +205,37 @@ def test_extract_subsequence_z():
 
 def test_extract_subsequence_budget():
     stream = ((n, z_interval(n)) for n in range(1, 10))
-    res = extract_subsequence(
-        stream, lambda k: 2**k, lambda k: Fraction(1, 1000), depth=2, budget=5
-    )
-    assert res.status == "budget"
-    assert res.best_ratio is not None and res.best_ratio > 0
+    with pytest.raises(SizeCapExceeded) as exc:
+        extract_subsequence(stream, lambda k: 2**k, lambda k: Fraction(1, 1000), depth=2, budget=5)
+    # candidates 2..6 tried, the best of them the last: |[-10, 10] \ [-6, 6]| / 13
+    assert exc.value.what == "extraction step 2 (best ratio 8/13, budget 5)"
+    assert (exc.value.needed, exc.value.cap, exc.value.unit) == (6, 5, "candidates")
+    # the stream runs out first: 8 candidates left, the budget allows 64
+    with pytest.raises(SizeCapExceeded, match="budget 64\\): needs 9 candidates, cap is 8"):
+        extract_subsequence(
+            ((n, z_interval(n)) for n in range(1, 10)), lambda k: 2**k, lambda k: Fraction(1, 1000), depth=2
+        )
 
 
 def test_extract_first_try_trivial():
     stream = iter([(1, z_interval(1)), (2, z_interval(2))])
-    res = extract_subsequence(
+    steps = extract_subsequence(
         stream, lambda k: 2**k, lambda k: Fraction(10), depth=2
     )
-    assert res.status == "ok" and res.steps[1].index == 2
+    assert steps[1].index == 2
 
 
 def test_extract_lamplighter_level2():
     # early lamplighter ratios are large (|E_2 \ F_2|/|F_2| = 193/7), so a
     # loose tolerance certifies the mechanics; a tighter one picks n_2 = 3
     fols = [(n, lamplighter_folner(n)[1]) for n in (1, 2, 3, 4)]
-    res = extract_subsequence(
+    step = extract_subsequence(
         iter(fols), lambda k: 2**k, lambda k: Fraction(30), depth=2
-    )
-    assert res.status == "ok"
-    step = res.steps[1]
+    )[1]
     assert step.index == 2 and step.ratio == Fraction(1544, 56)
     assert is_symmetric_with_identity(step.envelope)
     assert step.folner_set.issubset(step.envelope)
-    res2 = extract_subsequence(
+    steps = extract_subsequence(
         iter(fols), lambda k: 2**k, lambda k: Fraction(20), depth=2
     )
-    assert res2.status == "ok" and res2.steps[1].index == 3
+    assert steps[1].index == 3
