@@ -10,6 +10,15 @@ uniform measure through q first, so the cost scales with |Q|, not |F_n|.
 integers: the push weights over one common denominator, the entries of x
 over another, and one Fraction per output entry at the end.
 
+The PSD order on matrix observables is exact and also runs in integers.
+``psd_check`` brings the matrix to one common denominator and runs a
+fraction-free pivoted LDL^T on it (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968):
+every division is exact, the pivot order is that of the elimination in
+Fractions, and the proxy it returns is the same Fraction.
+``Observable.square`` is an integer matrix product over the squared
+common denominator.
+
 A quotient is given by its states and q alone, and each group supplies
 its own as ``Group.quotient(m)`` (see ``groups.py``), so the quotient law
 is the group's law followed by q.
@@ -21,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .chains import Chain
@@ -92,14 +102,14 @@ class Observable:
         """x*x: pointwise square, or the matrix product (x symmetric)."""
         if self.kind == "function":
             return Observable("function", tuple(v * v for v in self.data))
-        m = self.data
-        n = len(m)
+        n = len(self.data)
+        den, flat = _over_common_denominator(v for row in self.data for v in row)
+        rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+        cols = list(zip(*rows))
+        den2 = den * den
         return Observable(
             "matrix",
-            tuple(
-                tuple(sum(m[i][k] * m[k][j] for k in range(n)) for j in range(n))
-                for i in range(n)
-            ),
+            tuple(tuple(Fraction(sum(map(mul, r, c)), den2) for c in cols) for r in rows),
         )
 
     def sup_distance(self, other: "Observable") -> Fraction:
@@ -127,31 +137,49 @@ def _over_common_denominator(values: Iterable[Fraction]) -> tuple[int, list[int]
 def psd_check(mat: Sequence[Sequence[Fraction]]) -> tuple[bool, Fraction]:
     """Exact PSD test by pivoted LDL^T on a symmetric rational matrix.
 
-    Pivots on the largest remaining diagonal entry; a negative diagonal
-    or a nonzero row under a zero diagonal disproves PSD.  Returns
-    (verdict, proxy) where the proxy is the smallest pivot used (a crude
-    stand-in for the least eigenvalue; 0 for singular PSD matrices).
+    Pivots on the largest remaining diagonal entry, the first in index
+    order on a tie; a negative diagonal or a nonzero row under a zero
+    diagonal disproves PSD.  Returns (verdict, proxy) where the proxy is
+    the smallest pivot used (a crude stand-in for the least eigenvalue; 0
+    for singular PSD matrices), or the negative pivot that disproved PSD.
+
+    The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): on
+    M = D A, D the common denominator of the entries, each step sets
+    a_ij <- (piv a_ij - a_ip a_pj) / prev, prev the previous pivot (1 at
+    the start), and the division is exact because every entry is then a
+    minor of M.  The pivots B_1, B_2, ... are the leading principal minors
+    of M in pivot order, and the k-th pivot of the rational LDL^T is
+    B_k / (B_{k-1} D).  The earlier pivots are positive, so each remaining
+    diagonal is that of the rational elimination times a positive number:
+    both choose the same pivot, stop at the same step, and the proxy is
+    the same Fraction.
     """
     n = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(n)] for i in range(n)]
+    den, flat = _over_common_denominator(v for row in mat for v in row)
+    a = [flat[i * n : (i + 1) * n] for i in range(n)]
     live = list(range(n))
+    prev = 1
     min_pivot: Fraction | None = None
     while live:
         p = max(live, key=lambda i: a[i][i])
         piv = a[p][p]
+        pivot = Fraction(piv, prev * den)
         if piv < 0:
-            return False, piv
+            return False, pivot
         if piv == 0:
             for i in live:
                 if any(a[i][j] != 0 for j in live):
-                    return False, Fraction(0)
-            return True, Fraction(0)
-        min_pivot = piv if min_pivot is None else min(min_pivot, piv)
+                    return False, pivot
+            return True, pivot
+        min_pivot = pivot if min_pivot is None else min(min_pivot, pivot)
         live.remove(p)
+        row_p = a[p]
         for i in live:
-            f = a[i][p] / piv
+            row_i = a[i]
+            f = row_i[p]
             for j in live:
-                a[i][j] -= f * a[p][j]
+                row_i[j] = (piv * row_i[j] - f * row_p[j]) // prev
+        prev = piv
     return True, min_pivot if min_pivot is not None else Fraction(0)
 
 

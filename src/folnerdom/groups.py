@@ -27,8 +27,8 @@ against.  ``Zd`` overrides both with Kronecker substitution (Schoenhage
 ``group.ball``.  The base class builds the ball by breadth-first closure
 under the generators; Heisenberg and the lamplighter use it, and it is the
 test oracle.  ``Zd`` overrides it: the L1 ball is sized in closed form,
-so a cap is checked before any element is built, and then enumerated
-coordinate by coordinate.
+so a cap is checked before any element is built and a cap hit reports the
+exact size, and then enumerated coordinate by coordinate.
 
 Each group names its finite quotient mod m as ``quotient(m) -> (states,
 qmap)``, the input of ``actions.FiniteAction``.  ``qmap`` is the quotient
@@ -131,7 +131,8 @@ class Group:
 
     def ball(self, radius: int, cap: int | None) -> frozenset:
         """The word ball of ``word_ball``, by breadth-first closure under
-        the generators; raises before the ball outgrows ``cap``."""
+        the generators; raises before the ball outgrows ``cap``, so the
+        size it reports is a lower bound ("elements or more")."""
         seen = {self.identity}
         frontier = [self.identity]
         mul = self.mul
@@ -142,7 +143,7 @@ class Group:
                     x = mul(a, g)
                     if x not in seen:
                         if cap is not None and len(seen) >= cap:
-                            raise SizeCapExceeded("word_ball", len(seen) + 1, cap)
+                            raise SizeCapExceeded("word_ball", len(seen) + 1, cap, "elements or more")
                         seen.add(x)
                         nxt.append(x)
             if not nxt:
@@ -211,11 +212,12 @@ class Zd(Group):
     def ball(self, radius: int, cap: int | None) -> frozenset:
         """The L1 ball of radius r, sized first in closed form,
         sum_k 2^k C(d, k) C(r, k), then enumerated coordinate by coordinate,
-        each coordinate spending part of the remaining radius."""
+        each coordinate spending part of the remaining radius.  A cap hit
+        reports that exact size."""
         size = sum(2**k * comb(self.d, k) * comb(radius, k) for k in range(self.d + 1))
         # the closure holds the identity before it checks the cap
         if cap is not None and size > max(cap, 1):
-            raise SizeCapExceeded("word_ball", max(cap, 1) + 1, cap)
+            raise SizeCapExceeded("word_ball", size, cap)
         heads = [((), radius)]  # (first coordinates, radius left for the rest)
         for _ in range(self.d - 1):
             heads = [(h + (v,), left - abs(v)) for h, left in heads for v in range(-left, left + 1)]
@@ -405,8 +407,10 @@ def word_ball(group: Group, radius: int, cap: int | None = None) -> frozenset:
 
     The generating set must be symmetric, so the ball is symmetric and
     contains the identity.  ``group.ball`` builds it, and raises
-    SizeCapExceeded("word_ball", cap + 1, cap) when it has more than ``cap``
-    elements (for cap >= 1; the identity alone never exceeds the cap).
+    SizeCapExceeded("word_ball", ...) when it has more than ``cap`` elements
+    (for cap >= 1; the identity alone never exceeds the cap): with the exact
+    size where the group sizes its ball in closed form (``Zd``), and with a
+    lower bound, "elements or more", where the closure stops early.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")

@@ -77,6 +77,7 @@ def test_criterion_01_lamplighter_census():
 def test_criterion_02_singleton_folner_bound():
     violations = 0
     cases = 0
+    folner = {n: lamplighter_folner(n)[1] for n in range(1, 9)}  # built once, shared by the cases
     for t1, n1, t2, n2 in iproduct(range(-2, 3), range(3), range(-2, 3), range(3)):
         g1 = FiniteSubset.singleton(L, (t1, frozenset(range(-n1, n1 + 1))))
         g2 = FiniteSubset.singleton(L, (t2, frozenset(range(-n2, n2 + 1))))
@@ -84,8 +85,7 @@ def test_criterion_02_singleton_folner_bound():
             if n <= 2 * max(abs(t1) + n1, abs(t2) + n2):
                 continue
             cases += 1
-            fn = lamplighter_folner(n)[1]
-            ratio = folner_ratio(g1, fn, g2)
+            ratio = folner_ratio(g1, folner[n], g2)
             if ratio > Fraction(4 * (abs(t1) + abs(t2) + n1 + n2), n + 1):
                 violations += 1
     verdict(

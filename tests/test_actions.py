@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from folnerdom.actions import (
@@ -172,6 +172,89 @@ def test_psd_check_cases():
     assert not ok
     ok, _ = psd_check([[1, 1], [1, 1]])  # singular PSD
     assert ok
+
+
+def fraction_ldlt(mat) -> tuple[bool, Fraction]:
+    """The pivoted LDL^T in Fractions that ``psd_check`` replaced; the oracle
+    of its fraction-free elimination."""
+    n = len(mat)
+    a = [[Fraction(mat[i][j]) for j in range(n)] for i in range(n)]
+    live = list(range(n))
+    min_pivot = None
+    while live:
+        p = max(live, key=lambda i: a[i][i])
+        piv = a[p][p]
+        if piv < 0:
+            return False, piv
+        if piv == 0:
+            for i in live:
+                if any(a[i][j] != 0 for j in live):
+                    return False, Fraction(0)
+            return True, Fraction(0)
+        min_pivot = piv if min_pivot is None else min(min_pivot, piv)
+        live.remove(p)
+        for i in live:
+            f = a[i][p] / piv
+            for j in live:
+                a[i][j] -= f * a[p][j]
+    return True, min_pivot if min_pivot is not None else Fraction(0)
+
+
+small_rationals = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Gram matrices of rational vectors (PSD, often singular, with tied
+    diagonals), symmetric matrices with random entries (mostly indefinite),
+    and a zero diagonal under a nonzero row; entries ints or Fractions of
+    mixed denominators, sizes 0-9."""
+    n = draw(st.integers(0, 9))
+    kind = draw(st.sampled_from(["gram", "symmetric", "zero-diagonal"]))
+    if kind == "gram":
+        rank = draw(st.integers(0, n))
+        vecs = [draw(st.lists(small_rationals, min_size=rank, max_size=rank)) for _ in range(n)]
+        return [[sum((x * y for x, y in zip(u, v)), Fraction(0)) for v in vecs] for u in vecs]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(small_rationals)
+    if kind == "zero-diagonal" and n:
+        k = draw(st.integers(0, n - 1))
+        for i in range(n):
+            rows[k][i] = rows[i][k] = 0
+        if n > 1:
+            rows[k][(k + 1) % n] = rows[(k + 1) % n][k] = draw(small_rationals.filter(bool))
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(symmetric_matrices())
+@example([])
+@example([[0] * 5 for _ in range(5)])
+@example([[0, 0, 0], [0, 0, 2], [0, 2, 1]])  # zero diagonal under a nonzero row
+@example([[4, 2, 2], [2, 4, 2], [2, 2, 4]])  # tied diagonals
+@example([[Fraction(1, 3), Fraction(1, 6)], [Fraction(1, 6), Fraction(1, 5)]])
+@example([[-1]])
+def test_psd_check_matches_the_fraction_ldlt(mat):
+    """The fraction-free elimination against the Fraction LDL^T: the same
+    verdict and the same proxy.  With the Bareiss divisor frozen at 1
+    (``// prev`` as ``// 1``) the entries are no longer minors and the
+    pivots come out wrong from the third step on; the Gram cases of rank 3
+    and more, and the tied-diagonal example, catch it."""
+    assert psd_check(mat) == fraction_ldlt(mat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices())
+def test_matrix_square_matches_the_triple_loop(mat):
+    x = Observable.matrix(mat)
+    n = x.size
+    loop = tuple(
+        tuple(sum((x.data[i][k] * x.data[k][j] for k in range(n)), Fraction(0)) for j in range(n))
+        for i in range(n)
+    )
+    assert x.square().data == loop
 
 
 def test_psd_order_functions():

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from folnerdom.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, load_config, main
 from folnerdom.groups import Zd
 from folnerdom.sets import FiniteSubset
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(path, doc):
@@ -216,6 +219,16 @@ def test_chain_outputs(z_config, tmp_path):
     assert (out / "omega.csv").read_text().startswith("# folnerdom-measure")
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_shipped_configs_build_their_chains(name, tmp_path):
+    """Every config under configs/ is valid and its chain builds; the README
+    commands certify them in CI."""
+    config, out = str(CONFIGS / name), tmp_path / "out"
+    assert run("chain", config, out) == EXIT_PASS
+    doc = json.loads((out / "chain.json").read_text())
+    assert doc["depth"] == load_config(config)["schedule"]["depth"]
+
+
 @pytest.mark.parametrize(
     "cmd,edit,flags,what",
     [
@@ -270,7 +283,7 @@ def test_simulate_checks_its_balls_before_the_chain(z_config, tmp_path, capsys, 
     out = tmp_path / "out"
     # the radius-4096 ball has 8193 elements
     assert run("simulate", z_config, out, "--cap", "4000") == EXIT_BUDGET
-    assert capsys.readouterr().err == "budget: word_ball: needs 4001 elements, cap is 4000\n"
+    assert capsys.readouterr().err == "budget: word_ball: needs 8193 elements, cap is 4000\n"
     assert not out.exists()
 
 

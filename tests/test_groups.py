@@ -115,8 +115,9 @@ def test_word_ball_cap():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_zd_ball_matches_breadth_first_closure(d):
     """Z^d enumerates its ball directly; the base-class closure is the oracle,
-    for the elements and for caps below, at and above the ball size: the
-    same SizeCapExceeded, message and ``needed`` included, or the same ball."""
+    for the elements and for caps below, at and above the ball size: both
+    raise SizeCapExceeded at the same caps, Z^d with the exact size and the
+    closure, which stops early, with a lower bound; or both return the ball."""
     G = Zd(d)
     for r in range(7):
         bfs = Group.ball(G, r, None)
@@ -126,9 +127,12 @@ def test_zd_ball_matches_breadth_first_closure(d):
                 expected = Group.ball(G, r, cap)
             except SizeCapExceeded as exc:
                 assert cap < len(bfs)
+                assert cap < exc.needed <= len(bfs)
+                assert str(exc) == f"word_ball: needs {exc.needed} elements or more, cap is {cap}"
                 with pytest.raises(SizeCapExceeded) as got:
                     word_ball(G, r, cap)
-                assert (got.value.needed, str(got.value)) == (exc.needed, str(exc))
+                assert str(got.value) == f"word_ball: needs {len(bfs)} elements, cap is {cap}"
+                assert got.value.needed == len(bfs)
             else:
                 assert word_ball(G, r, cap) == expected == bfs
 
