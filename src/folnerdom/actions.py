@@ -6,6 +6,9 @@ through the quotient homomorphism q, and observables are rational-valued
 functions on Q or symmetric rational matrices conjugated by the
 permutation matrices.  Ergodic averages over a Folner set push the
 uniform measure through q first, so the cost scales with |Q|, not |F_n|.
+A word ball's pushforward never builds the ball: ``push_ball`` takes the
+counts per quotient element from ``Group.ball_counts``, which ``Zd``
+computes row by row from the ball's closed form (see ``groups.py``).
 ``FiniteAction.apply_push`` then sums the permuted copies of x in
 integers: the push weights over one common denominator, the entries of x
 over another, and one Fraction per output entry at the end.
@@ -26,11 +29,11 @@ is the group's law followed by q.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
-from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .chains import Chain
@@ -78,25 +81,23 @@ class Observable:
         return ok
 
     def add(self, other: "Observable") -> "Observable":
+        return self._entrywise(operator.add, other)
+
+    def sub(self, other: "Observable") -> "Observable":
+        return self._entrywise(operator.sub, other)
+
+    def _entrywise(self, op: Callable, other: "Observable") -> "Observable":
+        """op(a, b) for each pair of entries, one Fraction operation each."""
         self._like(other)
         if self.kind == "function":
-            return Observable("function", tuple(a + b for a, b in zip(self.data, other.data)))
-        return Observable(
-            "matrix",
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.data, other.data)
-            ),
-        )
+            return Observable("function", tuple(map(op, self.data, other.data)))
+        return Observable("matrix", tuple(tuple(map(op, ra, rb)) for ra, rb in zip(self.data, other.data)))
 
     def scale(self, c) -> "Observable":
         c = Fraction(c)
         if self.kind == "function":
             return Observable("function", tuple(c * v for v in self.data))
         return Observable("matrix", tuple(tuple(c * v for v in row) for row in self.data))
-
-    def sub(self, other: "Observable") -> "Observable":
-        return self.add(other.scale(-1))
 
     def square(self) -> "Observable":
         """x*x: pointwise square, or the matrix product (x symmetric)."""
@@ -109,7 +110,7 @@ class Observable:
         den2 = den * den
         return Observable(
             "matrix",
-            tuple(tuple(Fraction(sum(map(mul, r, c)), den2) for c in cols) for r in rows),
+            tuple(tuple(Fraction(sum(map(operator.mul, r, c)), den2) for c in cols) for r in rows),
         )
 
     def sup_distance(self, other: "Observable") -> Fraction:
@@ -260,6 +261,13 @@ class FiniteAction:
             raise ValueError("empty Folner set")
         return self._push(zip(F, repeat(1)), len(F))
 
+    def push_ball(self, radius: int, cap: int | None = None) -> dict[int, Fraction]:
+        """Pushforward of uniform(word ball of radius r) through the quotient
+        map, from the counts of ``Group.ball_counts``; a ball over ``cap``
+        raises SizeCapExceeded("word_ball", ...) as ``word_ball`` does."""
+        counts = self.group.ball_counts(radius, self.qmap, cap)
+        return self._push(counts.items(), sum(counts.values()))
+
     def push_measure(self, mu: FinSupMeasure) -> dict[int, Fraction]:
         return self._push(mu.numerators.items(), mu.denominator)
 
@@ -373,25 +381,27 @@ def check_dominance(
 
 def convergence_diagnostics(
     act: FiniteAction,
-    folner: Sequence[tuple[int, FiniteSubset]],
+    pushes: Sequence[tuple[int, dict[int, Fraction]]],
     x: Observable,
 ) -> list[tuple[int, Fraction]]:
-    """Per index n: the sup distance between A_n(x) and P(x), exact."""
+    """Per index n: the sup distance between A_n(x) and P(x), exact, from
+    the pushforward of uniform(F_n) (``push_set`` or ``push_ball``)."""
     proj = invariant_projection(act, x)
-    return [(n, ergodic_average(act, F, x).sup_distance(proj)) for n, F in folner]
+    return [(n, act.apply_push(push, x).sup_distance(proj)) for n, push in pushes]
 
 
 def weak11_probe(
     act: FiniteAction,
-    folner: Sequence[tuple[int, FiniteSubset]],
+    pushes: Sequence[tuple[int, dict[int, Fraction]]],
     x: Observable,
     eps: Fraction,
     c_emp: Fraction,
 ) -> tuple[frozenset, Fraction, Fraction, bool]:
     """Finite-space weak (1,1) probe for the maximal function.
 
-    e = {s : max_n A_n(x)(s) <= c_emp * eps}; returns (e, complement
-    mass, the bound (4 c_emp / eps) ||x||_1, and whether mass <= bound).
+    e = {s : max_n A_n(x)(s) <= c_emp * eps}, A_n from the pushforwards
+    as in ``convergence_diagnostics``; returns (e, complement mass, the
+    bound (4 c_emp / eps) ||x||_1, and whether mass <= bound).
     """
     if x.kind != "function":
         raise ValueError("weak (1,1) probe is for function observables")
@@ -401,8 +411,8 @@ def weak11_probe(
     if eps <= 0:
         raise ValueError("eps must be positive")
     maxed = [Fraction(0)] * act.size
-    for _, F in folner:
-        avg = ergodic_average(act, F, x)
+    for _, push in pushes:
+        avg = act.apply_push(push, x)
         maxed = [max(a, b) for a, b in zip(maxed, avg.data)]
     good = frozenset(s for s, v in enumerate(maxed) if v <= c_emp * eps)
     comp_mass = Fraction(act.size - len(good), act.size)

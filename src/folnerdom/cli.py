@@ -299,15 +299,14 @@ def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
         raise ConfigError(f"observable has {x.size} states, the action has {act.size}")
     rng = random.Random(seed)
     failures = 0
-    # the convergence sets come first, so that a cap they exceed stops the
-    # run before the certificate work
-    group = act.group
-    conv_sets: list[tuple[int, FiniteSubset]] = []
+    # the convergence pushforwards come first, so that a cap their sets
+    # exceed stops the run before the certificate work
+    pushes = []
     for n in conv_ns:
-        if group.kind == "lamplighter":
-            conv_sets.append((n, lamplighter_ftilde(n, cap)))
+        if act.group.kind == "lamplighter":
+            pushes.append((n, act.push_set(lamplighter_ftilde(n, cap))))
         else:
-            conv_sets.append((n, FiniteSubset(group, word_ball(group, n, cap))))
+            pushes.append((n, act.push_ball(n, cap)))
     chain = _build_chain(cfg, cap, depth)
     rep = dominance_report(chain, chain.depth, cap)
     if rep.c_emp is None or rep.verdict != "pass":
@@ -315,7 +314,7 @@ def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
         return EXIT_FAIL
 
     rows = ["check,n,value_num,value_den,ok"]
-    diag = convergence_diagnostics(act, conv_sets, x)
+    diag = convergence_diagnostics(act, pushes, x)
     final_ok = diag[-1][1] <= tol
     failures += 0 if final_ok else 1
     for n, d in diag:
@@ -326,7 +325,7 @@ def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
     rows.append(f"dominance_transfer,{chain.depth},{slack.numerator},{slack.denominator},{str(ok).lower()}")
 
     if x.kind == "function":
-        _, mass, bound, wok = weak11_probe(act, conv_sets, x, eps, rep.c_emp)
+        _, mass, bound, wok = weak11_probe(act, pushes, x, eps, rep.c_emp)
         failures += 0 if wok else 1
         rows.append(f"weak11_mass,0,{mass.numerator},{mass.denominator},{str(wok).lower()}")
 

@@ -30,6 +30,18 @@ test oracle.  ``Zd`` overrides it: the L1 ball is sized in closed form,
 so a cap is checked before any element is built and a cap hit reports the
 exact size, and then enumerated coordinate by coordinate.
 
+``group.ball_counts(r, qmap, cap)`` is the image of the word ball under a
+homomorphism q onto a finite group, as {q(g): count}.  The base class
+counts q(g) over ``ball``; Heisenberg and the lamplighter use it, and it
+is the test oracle.  ``Zd`` never builds
+the ball: it walks the rows of the L1 ball, a head over the first d-1
+coordinates and an interval [-l, l] of the last one.  Along a row the
+images repeat with the period p of q(k e_d), the least k >= 1 with
+q(k e_d) = q(0), because q is a homomorphism; so a row of length
+L = 2l + 1 >= p adds L // p + (i < L % p) to the image of its i-th point,
+for i < p.  Shorter rows, and every row when no period up to 2r + 1
+exists, are counted point by point.  The cap is checked as in ``ball``.
+
 Each group names its finite quotient mod m as ``quotient(m) -> (states,
 qmap)``, the input of ``actions.FiniteAction``.  ``qmap`` is the quotient
 homomorphism q; the states are group elements, one representative per
@@ -151,6 +163,15 @@ class Group:
             frontier = nxt
         return frozenset(seen)
 
+    def ball_counts(self, radius: int, qmap: Callable, cap: int | None) -> dict:
+        """{qmap(g): count} over ``ball(radius, cap)``, one qmap per element."""
+        counts: dict = {}
+        get = counts.get
+        for g in self.ball(radius, cap):
+            key = qmap(g)
+            counts[key] = get(key, 0) + 1
+        return counts
+
     def convolve(self, a: dict, b: dict) -> dict:
         """Raw numerators of a * b by the group law, one product per pair."""
         mul = self.mul
@@ -209,19 +230,45 @@ class Zd(Group):
     def inv(self, a):
         return tuple(-x for x in a)
 
-    def ball(self, radius: int, cap: int | None) -> frozenset:
-        """The L1 ball of radius r, sized first in closed form,
-        sum_k 2^k C(d, k) C(r, k), then enumerated coordinate by coordinate,
-        each coordinate spending part of the remaining radius.  A cap hit
-        reports that exact size."""
+    def _rows(self, radius: int, cap: int | None) -> list[tuple[tuple, int]]:
+        """The rows of the L1 ball of radius r: (head, l) for each point
+        ``head`` of the first d-1 coordinates, whose row is head + (v,) for
+        v in [-l, l].  The ball is sized first in closed form,
+        sum_k 2^k C(d, k) C(r, k); a cap hit reports that exact size."""
         size = sum(2**k * comb(self.d, k) * comb(radius, k) for k in range(self.d + 1))
         # the closure holds the identity before it checks the cap
         if cap is not None and size > max(cap, 1):
             raise SizeCapExceeded("word_ball", size, cap)
-        heads = [((), radius)]  # (first coordinates, radius left for the rest)
+        rows = [((), radius)]  # (first coordinates, radius left for the rest)
         for _ in range(self.d - 1):
-            heads = [(h + (v,), left - abs(v)) for h, left in heads for v in range(-left, left + 1)]
-        return frozenset(h + (v,) for h, left in heads for v in range(-left, left + 1))
+            rows = [(h + (v,), left - abs(v)) for h, left in rows for v in range(-left, left + 1)]
+        return rows
+
+    def ball(self, radius: int, cap: int | None) -> frozenset:
+        """The L1 ball of radius r, row by row."""
+        return frozenset(h + (v,) for h, left in self._rows(radius, cap) for v in range(-left, left + 1))
+
+    def ball_counts(self, radius: int, qmap: Callable, cap: int | None) -> dict:
+        """{qmap(g): count} over the L1 ball, row by row with the period of
+        qmap along the last axis (see the module docstring)."""
+        rows = self._rows(radius, cap)
+        axis = (0,) * (self.d - 1)
+        zero = qmap(self.identity)
+        period = next((k for k in range(1, 2 * radius + 2) if qmap(axis + (k,)) == zero), None)
+        counts: dict = {}
+        get = counts.get
+        for h, left in rows:
+            length = 2 * left + 1
+            if period is None or length < period:
+                for v in range(-left, left + 1):
+                    key = qmap(h + (v,))
+                    counts[key] = get(key, 0) + 1
+            else:
+                full, extra = divmod(length, period)
+                for i in range(period):
+                    key = qmap(h + (i - left,))
+                    counts[key] = get(key, 0) + full + (i < extra)
+        return counts
 
     def convolve(self, a: dict, b: dict) -> dict:
         """Raw numerators of a * b by Kronecker substitution.

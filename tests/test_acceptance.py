@@ -268,14 +268,14 @@ def test_criterion_09_convergence_and_weak11(z_reports, ll_report):
     tol = Fraction(1, 1000)
     bad = 0
     act_z = zd_mod_action(1, 8)
-    z_folner = [(r, z_interval(r)) for r in (8, 64, 512, 4096)]
+    z_folner = [(r, act_z.push_set(z_interval(r))) for r in (8, 64, 512, 4096)]
     battery_z = _function_battery(rng, act_z.size, 20)
     for x in battery_z:
         rows = convergence_diagnostics(act_z, z_folner, x)
         if rows[-1][1] > tol:
             bad += 1
     act_ll = FiniteAction(L, *L.quotient(3))
-    ll_folner = [(n, lamplighter_folner(n)[0]) for n in (2, 5, 8)]
+    ll_folner = [(n, act_ll.push_set(lamplighter_folner(n)[0])) for n in (2, 5, 8)]
     battery_ll = _function_battery(rng, act_ll.size, 20)
     for x in battery_ll:
         rows = convergence_diagnostics(act_ll, ll_folner, x)

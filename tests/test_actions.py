@@ -26,7 +26,8 @@ from folnerdom.actions import (
     zd_mod_action,
 )
 from folnerdom.chains import lamplighter_folner
-from folnerdom.groups import Heisenberg, Lamplighter, Zd
+from folnerdom.errors import SizeCapExceeded
+from folnerdom.groups import Heisenberg, Lamplighter, Zd, word_ball
 from folnerdom.measures import FinSupMeasure
 from folnerdom.sets import FiniteSubset
 from conftest import z_interval
@@ -290,10 +291,29 @@ def test_kadison_random_functions():
         assert ok
 
 
+@pytest.mark.parametrize(
+    "act",
+    [zd_mod_action(1, 5), zd_mod_action(2, 4), FiniteAction(H, *H.quotient(3))],
+    ids=["zd:1", "zd:2", "heisenberg"],
+)
+def test_push_ball_matches_push_set(act):
+    """The pushforward of a ball from its counts equals the one summed over
+    the built ball, and a cap stops it with word_ball's message."""
+    G = act.group
+    for r in range(7):
+        ball = word_ball(G, r)
+        assert act.push_ball(r) == act.push_set(FiniteSubset(G, ball))
+    with pytest.raises(SizeCapExceeded) as got:
+        act.push_ball(6, len(ball) - 1)
+    with pytest.raises(SizeCapExceeded) as want:
+        word_ball(G, 6, len(ball) - 1)
+    assert str(got.value) == str(want.value)
+
+
 def test_convergence_table_z_mod8():
     act = zd_mod_action(1, 8)
     x = Observable.function([1, 0, 0, 0, 0, 0, 0, 0])
-    pairs = [(r, z_interval(r)) for r in (8, 64, 512)]
+    pairs = [(r, act.push_set(z_interval(r))) for r in (8, 64, 512)]
     rows = convergence_diagnostics(act, pairs, x)
     devs = [d for _, d in rows]
     assert devs[0] > devs[1] > devs[2]
@@ -305,7 +325,7 @@ def test_convergence_exact_zero_when_period_divides():
     act = zd_mod_action(1, 5)
     x = Observable.function([2, 0, 1, 0, 0])
     # [-7, 7] covers each residue class mod 5 exactly 3 times
-    rows = convergence_diagnostics(act, [(7, z_interval(7))], x)
+    rows = convergence_diagnostics(act, [(7, act.push_set(z_interval(7)))], x)
     assert rows[0][1] == 0
 
 
@@ -316,14 +336,14 @@ def test_convergence_lamplighter_exact_zero():
     push = act.push_set(ft)
     assert set(push.values()) == {Fraction(1, act.size)}
     x = Observable.indicator(act.size, [0])
-    rows = convergence_diagnostics(act, [(5, ft)], x)
+    rows = convergence_diagnostics(act, [(5, push)], x)
     assert rows[0][1] == 0
 
 
 def test_weak11_probe_scaling():
     act = zd_mod_action(1, 8)
     x = Observable.function([1, 0, 0, 0, 0, 0, 0, 0])
-    folner = [(r, z_interval(r)) for r in (1, 2, 4)]
+    folner = [(r, act.push_set(z_interval(r))) for r in (1, 2, 4)]
     c = Fraction(9)
     g1, m1, b1, ok1 = weak11_probe(act, folner, x, Fraction(1, 2), c)
     assert ok1

@@ -138,6 +138,43 @@ def test_zd_ball_matches_breadth_first_closure(d):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
+@settings(max_examples=150, deadline=None)
+@given(
+    radius=st.integers(0, 10),
+    m=st.integers(1, 7),
+    kind=st.sampled_from(["quotient", "sum", "twice-last"]),
+    data=st.data(),
+)
+def test_zd_ball_counts_match_the_counted_ball(d, radius, m, kind, data):
+    """Z^d counts the image of its ball row by row; the base class, which
+    counts qmap over the built ball, is the oracle.  Besides the quotient
+    map, two homomorphisms onto Z/m that are not coordinate reductions:
+    the coordinate sum, and 2 g_d, whose period along the last axis is m/2
+    for even m and longer than the short rows at the tips of the ball.
+    Caps below, at and above the ball size raise as ``word_ball`` does."""
+    G = Zd(d)
+    qmap = {
+        "quotient": G.quotient(m)[1],
+        "sum": lambda g: (sum(g) % m,),
+        "twice-last": lambda g: (2 * g[-1] % m,),
+    }[kind]
+    ball = word_ball(G, radius)
+    expected = Group.ball_counts(G, radius, qmap, None)
+    assert G.ball_counts(radius, qmap, None) == expected
+    assert sum(expected.values()) == len(ball)
+    cap = data.draw(st.integers(max(len(ball) - 2, 0), len(ball) + 1), label="cap")
+    try:
+        word_ball(G, radius, cap)
+    except SizeCapExceeded as exc:
+        for counts in (G.ball_counts, lambda *a: Group.ball_counts(G, *a)):
+            with pytest.raises(SizeCapExceeded) as got:
+                counts(radius, qmap, cap)
+            assert (str(got.value), got.value.needed, got.value.unit) == (str(exc), exc.needed, exc.unit)
+    else:
+        assert G.ball_counts(radius, qmap, cap) == expected
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_zd_product_matches_pairwise_product(d, data):
