@@ -9,9 +9,21 @@ uniform measure through q first, so the cost scales with |Q|, not |F_n|.
 A word ball's pushforward never builds the ball: ``push_ball`` takes the
 counts per quotient element from ``Group.ball_counts``, which ``Zd``
 computes row by row from the ball's closed form (see ``groups.py``).
-``FiniteAction.apply_push`` then sums the permuted copies of x in
-integers: the push weights over one common denominator, the entries of x
-over another, and one Fraction per output entry at the end.
+
+An ``Observable`` is integers over one denominator, in lowest terms, and
+every operation on it works on those integers: no Fraction per entry.
+``FiniteAction.apply_push`` brings the push weights to one common
+denominator, c_q = w_q D_w, and sums the permuted copies of x in
+integers.  The part of the push that is constant over the states is
+summed once: with c* the most common weight and S(X) the sum of
+alpha_q(X) over all of Q,
+
+    sum_q c_q alpha_q(X) = c* S(X) + sum_{c_q != c*} (c_q - c*) alpha_q(X),
+
+and S(X)[i][j] = T[i^-1 j] with T[h] = sum_k X[k][k h] is one O(|Q|^2)
+pass over the permutation tables.  A ball or an interval over a cyclic
+quotient covers nearly every state the same number of times, so few
+terms are left.
 
 The PSD order on matrix observables is exact and also runs in integers.
 ``psd_check`` brings the matrix to one common denominator and runs a
@@ -19,8 +31,6 @@ fraction-free pivoted LDL^T on it (Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968):
 every division is exact, the pivot order is that of the elimination in
 Fractions, and the proxy it returns is the same Fraction.
-``Observable.square`` is an integer matrix product over the squared
-common denominator.
 
 A quotient is given by its states and q alone, and each group supplies
 its own as ``Group.quotient(m)`` (see ``groups.py``), so the quotient law
@@ -29,11 +39,12 @@ is the group's law followed by q.
 
 from __future__ import annotations
 
+import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .chains import Chain
@@ -45,39 +56,77 @@ from .sets import FiniteSubset
 # -- observables ----------------------------------------------------------
 
 
+def _rational(v):
+    """v itself when it is an int or a Fraction (both have numerator and
+    denominator), else Fraction(v)."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
 @dataclass(frozen=True)
 class Observable:
-    """A function on the state space (tuple) or a symmetric matrix."""
+    """A rational function on the state space or a symmetric rational matrix,
+    stored as integers ``nums`` (a tuple, or a tuple of row tuples) over one
+    denominator ``den``, in lowest terms: den > 0 and gcd(den, *nums) == 1,
+    so that == compares values."""
 
     kind: str  # "function" | "matrix"
-    data: tuple  # tuple[Fraction] or tuple[tuple[Fraction]]
+    den: int
+    nums: tuple
+
+    def __post_init__(self) -> None:
+        if self.den <= 0:
+            raise ValueError("denominator must be positive")
+        flat = self.nums if self.kind == "function" else itertools.chain.from_iterable(self.nums)
+        g = gcd(self.den, *flat)
+        if g != 1:
+            object.__setattr__(self, "den", self.den // g)
+            object.__setattr__(self, "nums", self._map(lambda v: v // g))
 
     @classmethod
     def function(cls, values: Iterable) -> "Observable":
-        return cls("function", tuple(Fraction(v) for v in values))
+        den, nums = _over_common_denominator(map(_rational, values))
+        return cls("function", den, tuple(nums))
 
     @classmethod
     def matrix(cls, rows: Iterable[Iterable]) -> "Observable":
-        mat = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        if any(len(row) != len(mat) for row in mat):
+        mat = [[_rational(v) for v in row] for row in rows]
+        n = len(mat)
+        if any(len(row) != n for row in mat):
             raise ValueError("matrix must be square")
-        if any(mat[i][j] != mat[j][i] for i in range(len(mat)) for j in range(i)):
+        den, flat = _over_common_denominator(v for row in mat for v in row)
+        nums = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
+        if any(nums[i][j] != nums[j][i] for i in range(n) for j in range(i)):
             raise ValueError("matrix must be symmetric")
-        return cls("matrix", mat)
+        return cls("matrix", den, nums)
 
     @classmethod
     def indicator(cls, size: int, where: Iterable[int]) -> "Observable":
         hot = set(where)
-        return cls.function(Fraction(1) if i in hot else Fraction(0) for i in range(size))
+        return cls("function", 1, tuple(int(i in hot) for i in range(size)))
+
+    @property
+    def data(self) -> tuple:
+        """The entries as Fractions: a tuple, or a tuple of row tuples."""
+        return self._map(lambda v: Fraction(v, self.den))
+
+    def _map(self, f: Callable) -> tuple:
+        """f applied to every numerator, in the observable's shape."""
+        if self.kind == "function":
+            return tuple(map(f, self.nums))
+        return tuple(tuple(map(f, row)) for row in self.nums)
+
+    def _times(self, k: int) -> tuple:
+        """The numerators times k."""
+        return self.nums if k == 1 else self._map(k.__mul__)
 
     @property
     def size(self) -> int:
-        return len(self.data)
+        return len(self.nums)
 
     def is_nonnegative(self) -> bool:
         if self.kind == "function":
-            return all(v >= 0 for v in self.data)
-        ok, _ = psd_check(self.data)
+            return all(v >= 0 for v in self.nums)
+        ok, _ = psd_check(self.nums)
         return ok
 
     def add(self, other: "Observable") -> "Observable":
@@ -87,49 +136,46 @@ class Observable:
         return self._entrywise(operator.sub, other)
 
     def _entrywise(self, op: Callable, other: "Observable") -> "Observable":
-        """op(a, b) for each pair of entries, one Fraction operation each."""
-        self._like(other)
+        """op(a, b) for each pair of entries, over the lcm of the denominators."""
+        den, a, b = self._common(other)
         if self.kind == "function":
-            return Observable("function", tuple(map(op, self.data, other.data)))
-        return Observable("matrix", tuple(tuple(map(op, ra, rb)) for ra, rb in zip(self.data, other.data)))
+            return Observable("function", den, tuple(map(op, a, b)))
+        return Observable("matrix", den, tuple(tuple(map(op, ra, rb)) for ra, rb in zip(a, b)))
 
     def scale(self, c) -> "Observable":
         c = Fraction(c)
-        if self.kind == "function":
-            return Observable("function", tuple(c * v for v in self.data))
-        return Observable("matrix", tuple(tuple(c * v for v in row) for row in self.data))
+        return Observable(self.kind, self.den * c.denominator, self._times(c.numerator))
 
     def square(self) -> "Observable":
         """x*x: pointwise square, or the matrix product (x symmetric)."""
+        den2 = self.den * self.den
         if self.kind == "function":
-            return Observable("function", tuple(v * v for v in self.data))
-        n = len(self.data)
-        den, flat = _over_common_denominator(v for row in self.data for v in row)
-        rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-        cols = list(zip(*rows))
-        den2 = den * den
+            return Observable("function", den2, tuple(v * v for v in self.nums))
+        cols = list(zip(*self.nums))
         return Observable(
             "matrix",
-            tuple(tuple(Fraction(sum(map(operator.mul, r, c)), den2) for c in cols) for r in rows),
+            den2,
+            tuple(tuple(sum(map(operator.mul, r, c)) for c in cols) for r in self.nums),
         )
 
     def sup_distance(self, other: "Observable") -> Fraction:
-        self._like(other)
-        if self.kind == "function":
-            return max(abs(a - b) for a, b in zip(self.data, other.data))
-        return max(
-            abs(a - b)
-            for ra, rb in zip(self.data, other.data)
-            for a, b in zip(ra, rb)
-        )
+        den, a, b = self._common(other)
+        if self.kind == "matrix":
+            a, b = itertools.chain.from_iterable(a), itertools.chain.from_iterable(b)
+        return Fraction(max(abs(u - v) for u, v in zip(a, b)), den)
 
-    def _like(self, other: "Observable") -> None:
+    def _common(self, other: "Observable") -> tuple[int, tuple, tuple]:
+        """(D, self's nums over D, other's nums over D), D the lcm of the
+        two denominators; shapes must match."""
         if self.kind != other.kind or self.size != other.size:
             raise ValueError("observable shape mismatch")
+        den = lcm(self.den, other.den)
+        return den, self._times(den // self.den), other._times(den // other.den)
 
 
-def _over_common_denominator(values: Iterable[Fraction]) -> tuple[int, list[int]]:
-    """(D, [v * D for v in values]), D the least common denominator."""
+def _over_common_denominator(values: Iterable) -> tuple[int, list[int]]:
+    """(D, [v * D for v in values]), D the least common denominator of the
+    ints and Fractions ``values``."""
     values = list(values)
     den = lcm(*(v.denominator for v in values))
     return den, [v.numerator * (den // v.denominator) for v in values]
@@ -185,12 +231,18 @@ def psd_check(mat: Sequence[Sequence[Fraction]]) -> tuple[bool, Fraction]:
 
 
 def psd_order_holds(lo: Observable, hi: Observable) -> tuple[bool, Fraction]:
-    """hi - lo >= 0: pointwise slack for functions, pivoted LDL^T for matrices."""
+    """hi - lo >= 0: pointwise slack for functions, pivoted LDL^T for matrices.
+
+    For matrices ``psd_check`` runs on the integer numerators D (hi - lo),
+    D their denominator: its pivots are D times those of hi - lo, in the
+    same order, so its proxy divided by D is the proxy of hi - lo.
+    """
     diff = hi.sub(lo)
     if diff.kind == "function":
-        slack = min(diff.data)
+        slack = Fraction(min(diff.nums), diff.den)
         return slack >= 0, slack
-    return psd_check(diff.data)
+    ok, proxy = psd_check(diff.nums)
+    return ok, proxy / diff.den
 
 
 # -- actions --------------------------------------------------------------
@@ -239,16 +291,10 @@ class FiniteAction:
     def act(self, qi: int, x: Observable) -> Observable:
         """alpha_q(x)(s) = x(q^{-1} s); matrices conjugated by the same
         permutation."""
-        sigma_inv = self._inverse_perm(qi)
+        s = self._inverse_perm(qi)
         if x.kind == "function":
-            return Observable("function", tuple(x.data[sigma_inv[s]] for s in range(self.size)))
-        return Observable(
-            "matrix",
-            tuple(
-                tuple(x.data[sigma_inv[i]][sigma_inv[j]] for j in range(self.size))
-                for i in range(self.size)
-            ),
-        )
+            return Observable("function", x.den, tuple(map(x.nums.__getitem__, s)))
+        return Observable("matrix", x.den, tuple(tuple(map(x.nums[si].__getitem__, s)) for si in s))
 
     def act_element(self, g, x: Observable) -> Observable:
         return self.act(self.state_of(g), x)
@@ -259,7 +305,7 @@ class FiniteAction:
         """Pushforward of uniform(F) through the quotient map."""
         if len(F) == 0:
             raise ValueError("empty Folner set")
-        return self._push(zip(F, repeat(1)), len(F))
+        return self._push(zip(F, itertools.repeat(1)), len(F))
 
     def push_ball(self, radius: int, cap: int | None = None) -> dict[int, Fraction]:
         """Pushforward of uniform(word ball of radius r) through the quotient
@@ -285,38 +331,56 @@ class FiniteAction:
         """sum_q w_q alpha_q(x) for the pushforward ``push`` = {q: w_q}.
 
         Computed in integers: the weights are brought to one common
-        denominator D_w and the entries of x to another, D_x, so that each
-        output entry is the integer sum_q c_q X[sigma_q^-1 i][sigma_q^-1 j]
-        (c_q = w_q D_w, X = D_x x) over D_w D_x, and one Fraction is built
-        per entry at the end.  Fractions are canonical, so the values are
-        those of summing the scaled copies alpha_q(x) w_q one by one.
+        denominator D_w, c_q = w_q D_w (0 for a state outside the push),
+        and with X the numerators of x each output numerator is an integer
+        over D_w times the denominator of x.
+
+        The part of the push that is constant over the states is summed
+        once.  With c* the most common c_q (0, then the smallest, on a tie)
+        and S(X) = sum_{q in Q} alpha_q(X),
+
+            sum_q c_q alpha_q(X) = c* S(X) + sum_{c_q != c*} (c_q - c*) alpha_q(X),
+
+        which is the sum split as c_q = c* + (c_q - c*).  S(X) costs one
+        O(n^2) pass: alpha_q(X)[i][j] = X[q^-1 i][q^-1 j], and k = q^-1 i
+        runs over Q with q, so S(X)[i][j] = sum_k X[k][k i^-1 j] = T[i^-1 j]
+        with T[h] = sum_k X[k][k h]; for a function S(x)[i] = sum_k x[k].
+        When c* = 0 only the states in the push are summed.
         """
         if not push:
             raise ValueError("empty pushforward")
-        wden, weights = _over_common_denominator(push.values())
-        terms = list(zip(weights, map(self._inverse_perm, push)))
         n = self.size
+        wden, weights = _over_common_denominator(push.values())
+        c = [0] * n
+        for q, w in zip(push, weights):
+            c[q] = w
+        tally = Counter(c)
+        base = max(tally, key=lambda v: (tally[v], v == 0, -v))
+        terms = [(w - base, self._inverse_perm(q)) for q, w in enumerate(c) if w != base]
+        X = x.nums
+        den = wden * x.den
         if x.kind == "function":
-            xden, xs = _over_common_denominator(x.data)
-            den = wden * xden
+            total = base * sum(X)
             return Observable(
-                "function", tuple(Fraction(sum(c * xs[s[i]] for c, s in terms), den) for i in range(n))
+                "function", den, tuple(total + sum(w * X[s[i]] for w, s in terms) for i in range(n))
             )
-        xden, flat = _over_common_denominator(v for row in x.data for v in row)
-        mat = [flat[i * n : (i + 1) * n] for i in range(n)]
-        acc = [[0] * n for _ in range(n)]
-        for c, s in terms:
+        if base:
+            cols = zip(*map(self.perm, range(n)))  # column h: the states k h
+            bT = [base * sum(map(operator.getitem, X, col)) for col in cols]
+            acc = [list(map(bT.__getitem__, self._inverse_perm(i))) for i in range(n)]
+        else:
+            acc = [[0] * n for _ in range(n)]
+        for w, s in terms:
             for i, si in enumerate(s):
-                xr = mat[si]
-                acc[i] = [a + c * xr[k] for a, k in zip(acc[i], s)]
-        den = wden * xden
-        return Observable("matrix", tuple(tuple(Fraction(v, den) for v in row) for row in acc))
+                xr = X[si]
+                acc[i] = [a + w * xr[k] for a, k in zip(acc[i], s)]
+        return Observable("matrix", den, tuple(map(tuple, acc)))
 
     def one_norm(self, x: Observable) -> Fraction:
         """tau(|x|) = (1/|Q|) sum_s |x(s)|, for function observables."""
         if x.kind != "function":
             raise ValueError("one_norm is defined for function observables")
-        return Fraction(sum(abs(v) for v in x.data), self.size)
+        return Fraction(sum(map(abs, x.nums)), self.size * x.den)
 
 
 def zd_mod_action(d: int, m: int) -> FiniteAction:
@@ -405,16 +469,20 @@ def weak11_probe(
     """
     if x.kind != "function":
         raise ValueError("weak (1,1) probe is for function observables")
-    if any(v < 0 for v in x.data):
+    if any(v < 0 for v in x.nums):
         raise ValueError("x must be nonnegative")
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    maxed = [Fraction(0)] * act.size
+    # max_n A_n(x)(s) <= t, the maximum starting at 0, on numerators:
+    # A_n(x)(s) <= t is nums[s] * t.denominator <= t.numerator * den
+    t = c_emp * eps
+    good = set(range(act.size)) if t >= 0 else set()
     for _, push in pushes:
         avg = act.apply_push(push, x)
-        maxed = [max(a, b) for a, b in zip(maxed, avg.data)]
-    good = frozenset(s for s, v in enumerate(maxed) if v <= c_emp * eps)
+        top = t.numerator * avg.den
+        good = {s for s in good if avg.nums[s] * t.denominator <= top}
+    good = frozenset(good)
     comp_mass = Fraction(act.size - len(good), act.size)
     bound = 4 * c_emp / eps * act.one_norm(x)
     return good, comp_mass, bound, comp_mass <= bound

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -127,30 +127,122 @@ signed_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
 
 
 @st.composite
-def pushes_and_observables(draw):
-    """A quotient action, a push with one or more states and weights of mixed
-    denominators and signs, and a function or symmetric matrix observable."""
-    act = draw(st.sampled_from(QUOTIENTS))
-    n = act.size
-    push = draw(st.dictionaries(st.integers(0, n - 1), signed_rationals, min_size=1, max_size=n))
-    if draw(st.booleans()):
-        return act, push, Observable.function(draw(st.lists(signed_rationals, min_size=n, max_size=n)))
+def observables(draw, n, kind=None):
+    """A function or symmetric matrix observable on n states, with entries
+    of mixed denominators and signs."""
+    if (kind or draw(st.sampled_from(["function", "matrix"]))) == "function":
+        return Observable.function(draw(st.lists(signed_rationals, min_size=n, max_size=n)))
     upper = draw(st.lists(signed_rationals, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
     cells = iter(upper)
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = next(cells)
-    return act, push, Observable.matrix(rows)
+    return Observable.matrix(rows)
 
 
-@settings(max_examples=150, deadline=None)
+@st.composite
+def pushes_and_observables(draw):
+    """A quotient action, a push and an observable.  The push is either one
+    or more states with weights of mixed denominators and signs, or full
+    support: one common weight with a few states perturbed, so that the
+    common part is summed as c* S(X)."""
+    act = draw(st.sampled_from(QUOTIENTS))
+    n = act.size
+    states = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        push = draw(st.dictionaries(states, signed_rationals, min_size=1, max_size=n))
+    else:
+        push = dict.fromkeys(range(n), draw(signed_rationals))
+        push.update(draw(st.dictionaries(states, signed_rationals, max_size=3)))
+    return act, push, draw(observables(n))
+
+
+def fraction_fold(act: FiniteAction, push: dict, x: Observable) -> tuple:
+    """sum_q w_q alpha_q(x) on the Fraction entries of x, one copy at a time,
+    with alpha_q(x)(s) = x(q^-1 s) taken from the group law: the oracle of
+    ``apply_push``."""
+    G, n, data = act.group, act.size, x.data
+    if x.kind == "function":
+        total = [Fraction(0)] * n
+    else:
+        total = [[Fraction(0)] * n for _ in range(n)]
+    for q, w in push.items():
+        qinv = G.inv(act.states[q])
+        src = [act.state_of(G.mul(qinv, s)) for s in act.states]
+        for i in range(n):
+            if x.kind == "function":
+                total[i] += w * data[src[i]]
+            else:
+                for j in range(n):
+                    total[i][j] += w * data[src[i]][src[j]]
+    return tuple(total) if x.kind == "function" else tuple(map(tuple, total))
+
+
+@settings(max_examples=200, deadline=None)
 @given(pushes_and_observables())
 def test_apply_push_matches_the_fold(case):
-    """The integer kernel against summing the scaled copies alpha_q(x) w_q."""
+    """The integer kernel against summing the scaled copies w_q alpha_q(x) in
+    Fractions.  The Heisenberg and lamplighter quotients are not abelian, so
+    summing the common part as T[j i^-1] instead of T[i^-1 j] fails here."""
     act, push, x = case
-    fold = reduce(Observable.add, (act.act(q, x).scale(w) for q, w in sorted(push.items())))
-    assert act.apply_push(push, x) == fold
+    assert act.apply_push(push, x).data == fraction_fold(act, push, x)
+
+
+def _entries(x: Observable) -> list:
+    return list(x.data) if x.kind == "function" else [v for row in x.data for v in row]
+
+
+def _in_lowest_terms(x: Observable) -> bool:
+    flat = x.nums if x.kind == "function" else [v for row in x.nums for v in row]
+    return x.den > 0 and gcd(x.den, *flat) == 1 and all(type(v) is int for v in flat)
+
+
+@st.composite
+def observable_pairs(draw):
+    n = draw(st.integers(1, 5))
+    x = draw(observables(n))
+    return x, draw(observables(n, x.kind)), draw(signed_rationals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(observable_pairs())
+def test_integer_algebra_matches_the_fraction_view(case):
+    """add, sub, scale, square, sup_distance, psd_order_holds and one_norm on
+    integers over one denominator against the same operations on the
+    Fraction entries; every result is in lowest terms.  The matrix square
+    is checked against the triple loop below."""
+    x, y, c = case
+    a, b = _entries(x), _entries(y)
+    assert _entries(x.add(y)) == [u + v for u, v in zip(a, b)]
+    assert _entries(x.sub(y)) == [u - v for u, v in zip(a, b)]
+    assert _entries(x.scale(c)) == [c * u for u in a]
+    assert all(_in_lowest_terms(z) for z in (x, y, x.add(y), x.sub(y), x.scale(c), x.square()))
+    assert x.sup_distance(y) == max(abs(u - v) for u, v in zip(a, b))
+    diff = [v - u for u, v in zip(a, b)]
+    if x.kind == "function":
+        assert _entries(x.square()) == [u * u for u in a]
+        assert psd_order_holds(x, y) == (min(diff) >= 0, min(diff))
+        assert zd_mod_action(1, x.size).one_norm(x) == sum(map(abs, a)) / x.size
+    else:
+        n = x.size
+        assert psd_order_holds(x, y) == fraction_ldlt([diff[i * n : (i + 1) * n] for i in range(n)])
+
+
+def test_observables_are_canonical():
+    """Equal values compare == however they were written or computed."""
+    x = Observable.function([Fraction(1, 2), "1/3", 2])
+    assert (x.den, x.nums) == (6, (3, 2, 12))
+    assert Observable.function(["3/6", "2/6", 2.0]) == x
+    assert Observable("function", 12, (6, 4, 24)) == x
+    assert x.add(x).scale(Fraction(1, 2)) == x
+    assert x.sub(x) == Observable.function([0, 0, 0])
+    assert x.sub(x).den == 1
+    m = Observable.matrix([[Fraction(1, 4), "1/2"], [0.5, 1]])
+    assert (m.den, m.nums) == (4, ((1, 2), (2, 4)))
+    assert m.scale(4) == Observable.matrix([[1, 2], [2, 4]])
+    with pytest.raises(ValueError, match="positive"):
+        Observable("function", 0, (1,))
 
 
 def test_cesaro_mean_reduces_to_average_of_iterates():

@@ -169,6 +169,30 @@ def _extract(radii, budget):
         pytest.param("simulate", _set("simulate", observable="indicator"), (), id="observable-string"),
         # used to end in a TypeError
         pytest.param("sweep", _set("sweep", tail_bases=3), (), id="tail-bases-3"),
+        # bad observable values used to end in a traceback with exit 1
+        pytest.param(
+            "simulate",
+            _set("simulate", observable={"kind": "function", "values": ["1/0"] + ["0"] * 7}),
+            (),
+            id="observable-value-1-over-0",
+        ),
+        pytest.param(
+            "simulate",
+            _set("simulate", observable={"kind": "function", "values": [None] + [0] * 7}),
+            (),
+            id="observable-value-null",
+        ),
+        pytest.param(
+            "simulate",
+            _set("simulate", observable={"kind": "function", "values": [float("inf")] + [0] * 7}),
+            (),
+            id="observable-value-infinity",
+        ),
+        pytest.param("simulate", _set("simulate", tolerance=float("inf")), (), id="tolerance-infinity"),
+        pytest.param("simulate", _set("simulate", observable={"kind": "matrix", "rows": 5}), (), id="rows-5"),
+        pytest.param(
+            "simulate", _set("simulate", observable={"kind": "indicator", "states": 3}), (), id="states-3"
+        ),
     ],
 )
 def test_invalid_config_is_usage_error(z_config, tmp_path, capsys, cmd, edit, flags):
