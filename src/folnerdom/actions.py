@@ -42,12 +42,12 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .chains import Chain
+from .frozen import Frozen
 from .groups import Group, Zd
 from .measures import FinSupMeasure
 from .sets import FiniteSubset
@@ -62,25 +62,22 @@ def _rational(v):
     return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
-@dataclass(frozen=True)
-class Observable:
+class Observable(Frozen):
     """A rational function on the state space or a symmetric rational matrix,
     stored as integers ``nums`` (a tuple, or a tuple of row tuples) over one
     denominator ``den``, in lowest terms: den > 0 and gcd(den, *nums) == 1,
-    so that == compares values."""
+    so that == compares values.  ``kind`` is "function" or "matrix"."""
 
-    kind: str  # "function" | "matrix"
-    den: int
-    nums: tuple
+    __slots__ = _fields = ("kind", "den", "nums")
 
-    def __post_init__(self) -> None:
-        if self.den <= 0:
+    def __init__(self, kind: str, den: int, nums: tuple):
+        if den <= 0:
             raise ValueError("denominator must be positive")
-        flat = self.nums if self.kind == "function" else itertools.chain.from_iterable(self.nums)
-        g = gcd(self.den, *flat)
+        flat = nums if kind == "function" else itertools.chain.from_iterable(nums)
+        g = gcd(den, *flat)
+        self._init(kind, den, nums)
         if g != 1:
-            object.__setattr__(self, "den", self.den // g)
-            object.__setattr__(self, "nums", self._map(lambda v: v // g))
+            self._init(kind, den // g, self._map(lambda v: v // g))
 
     @classmethod
     def function(cls, values: Iterable) -> "Observable":
@@ -267,6 +264,7 @@ class FiniteAction:
         if any(qmap(s) != s for s in self.states):
             raise ValueError("states must be representatives with qmap(s) == s")
         self._perm_cache: dict[int, tuple[int, ...]] = {}
+        self._inverse_cache: dict[int, tuple[int, ...]] = {}
 
     @property
     def size(self) -> int:
@@ -286,7 +284,11 @@ class FiniteAction:
 
     def _inverse_perm(self, qi: int) -> tuple[int, ...]:
         """Permutation s -> q^{-1} s of state indices, for quotient element qi."""
-        return self.perm(self.state_of(self.group.inv(self.states[qi])))
+        cached = self._inverse_cache.get(qi)
+        if cached is None:
+            cached = self.perm(self.state_of(self.group.inv(self.states[qi])))
+            self._inverse_cache[qi] = cached
+        return cached
 
     def act(self, qi: int, x: Observable) -> Observable:
         """alpha_q(x)(s) = x(q^{-1} s); matrices conjugated by the same
@@ -489,8 +491,9 @@ def weak11_probe(
 
 
 def kadison_check(
-    act: FiniteAction, Fn: FiniteSubset, x: Observable
+    act: FiniteAction, push: dict[int, Fraction], x: Observable
 ) -> tuple[bool, Fraction]:
-    """A_n(x)*A_n(x) <= A_n(x*x) in PSD order (A_n is unital positive)."""
-    ax = ergodic_average(act, Fn, x)
-    return psd_order_holds(ax.square(), ergodic_average(act, Fn, x.square()))
+    """A_n(x)*A_n(x) <= A_n(x*x) in PSD order (A_n is unital positive),
+    A_n from the pushforward of uniform(F_n) as in
+    ``convergence_diagnostics``."""
+    return psd_order_holds(act.apply_push(push, x).square(), act.apply_push(push, x.square()))

@@ -17,11 +17,11 @@ every lower estimate reads a prefix of it, so each power is built once per
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
 from .errors import SizeCapExceeded
+from .frozen import Frozen
 from .groups import Group, Lamplighter, generated_closure
 from .measures import FinSupMeasure, convolve, mix
 from .sets import (
@@ -71,16 +71,23 @@ def lamplighter_folner(n: int, cap: int | None = None) -> tuple[FiniteSubset, Fi
     return ftilde, FiniteSubset(ftilde.group, frozenset(big))
 
 
-@dataclass(frozen=True)
-class Chain:
-    """A built chain: Folner sets, envelopes, schedule, and omega."""
+class Chain(Frozen):
+    """A built chain: Folner sets F_1 .. F_K, envelopes E_1 .. E_K,
+    schedule, and omega.  ``_walks`` (the powers of omega per cap) is not
+    compared."""
 
-    group: Group
-    folner: list[FiniteSubset]  # F_1 .. F_K
-    envelopes: list[FiniteSubset]  # E_1 .. E_K
-    schedule: Schedule
-    omega: FinSupMeasure
-    _walks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("group", "folner", "envelopes", "schedule", "omega", "_walks")
+    _fields = __slots__[:5]
+
+    def __init__(
+        self,
+        group: Group,
+        folner: list[FiniteSubset],
+        envelopes: list[FiniteSubset],
+        schedule: Schedule,
+        omega: FinSupMeasure,
+    ):
+        self._init(group, folner, envelopes, schedule, omega, {})
 
     @property
     def depth(self) -> int:

@@ -26,17 +26,8 @@ import random
 import sys
 import tempfile
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .actions import (
-    FiniteAction,
-    Observable,
-    check_dominance,
-    convergence_diagnostics,
-    kadison_check,
-    weak11_probe,
-    zd_mod_action,
-)
 from .chains import Chain, _rat, build_chain, chain_manifest, lamplighter_folner, lamplighter_ftilde
 from .dominance import (
     DominanceReport,
@@ -49,6 +40,9 @@ from .errors import ConfigError, SizeCapExceeded
 from .groups import Group, group_from_token, word_ball
 from .schedules import Schedule, fn_size, ftilde_size
 from .sets import FiniteSubset, extract_subsequence, is_symmetric_with_identity
+
+if TYPE_CHECKING:
+    from .actions import FiniteAction, Observable
 
 EXIT_PASS = 0
 EXIT_FAIL = 2
@@ -171,12 +165,16 @@ def _build_chain(cfg: dict, cap: int | None, depth_flag: int | None) -> Chain:
 
 
 def _action_from(cfg: dict) -> FiniteAction:
+    from .actions import FiniteAction
+
     m = _whole(_section(cfg, "action").get("modulus", 4), "action.modulus", 1)
     group = group_from_token(cfg["group"])
     return FiniteAction(group, *group.quotient(m))
 
 
 def _observable_from(spec: dict, act: FiniteAction) -> Observable:
+    from .actions import Observable
+
     kind = spec.get("kind", "indicator")
     try:
         if kind == "indicator":
@@ -291,6 +289,15 @@ def cmd_dominate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
 
 def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: int) -> int:
     """Convergence, dominance transfer, weak (1,1) probe, Kadison battery."""
+    from .actions import (
+        Observable,
+        check_dominance,
+        convergence_diagnostics,
+        kadison_check,
+        weak11_probe,
+        zd_mod_action,
+    )
+
     sim = _section(cfg, "simulate")
     act = _action_from(cfg)
     conv_ns, tol, eps, trials, dim = _simulate_params(sim, act.group)
@@ -330,12 +337,12 @@ def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
         rows.append(f"weak11_mass,0,{mass.numerator},{mass.denominator},{str(wok).lower()}")
 
     kact = zd_mod_action(1, dim)
-    kf = FiniteSubset.of(kact.group, ((i,) for i in range(dim)))
+    kpush = kact.push_set(FiniteSubset.of(kact.group, ((i,) for i in range(dim))))
     kad_fail = 0
     for _ in range(trials):
         raw = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(dim)]
         sym = Observable.matrix([[raw[i][j] + raw[j][i] for j in range(dim)] for i in range(dim)])
-        kok, _ = kadison_check(kact, kf, sym.scale(Fraction(1, 2)))
+        kok, _ = kadison_check(kact, kpush, sym.scale(Fraction(1, 2)))
         kad_fail += 0 if kok else 1
     failures += kad_fail
     rows.append(f"kadison_failures,{trials},{kad_fail},1,{str(kad_fail == 0).lower()}")

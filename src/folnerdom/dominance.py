@@ -18,8 +18,8 @@ in the limit diagnostics, never in verdicts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chains import Chain, _rat
 from .measures import cesaro_density, convolve_at
@@ -105,8 +105,7 @@ def limit_diagnostics(sched: Schedule, n_range: range) -> list[dict]:
     return rows
 
 
-@dataclass(frozen=True)
-class DominanceReport:
+class DominanceReport(NamedTuple):
     n: int
     card_F: int
     card_E: int

@@ -17,25 +17,25 @@ that walk and adds the last power pointwise through ``convolve_at``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from .frozen import Frozen
 from .groups import Group, group_from_token, require_same_group
 from .sets import FiniteSubset
 
 
-@dataclass(frozen=True)
-class FinSupMeasure:
-    group: Group
-    numerators: dict  # element -> positive int
-    denominator: int
-    truncated: bool = False  # True: masses are a pointwise lower bound
+class FinSupMeasure(Frozen):
+    """``numerators`` maps element -> positive int over one ``denominator``;
+    ``truncated`` True: masses are a pointwise lower bound."""
 
-    def __post_init__(self):
-        if self.denominator <= 0:
+    __slots__ = _fields = ("group", "numerators", "denominator", "truncated")
+
+    def __init__(self, group: Group, numerators: dict, denominator: int, truncated: bool = False):
+        if denominator <= 0:
             raise ValueError("denominator must be positive")
+        self._init(group, numerators, denominator, truncated)
 
     # -- constructors ---------------------------------------------------
 

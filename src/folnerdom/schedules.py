@@ -14,30 +14,28 @@ logarithms that are refined until the two sides separate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import SizeCapExceeded
+from .frozen import Frozen
 
 MATERIALIZE_BITS = 1 << 16  # larger values stay symbolic
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Frozen):
     """t_n = (c-1)/c^n and N(n) = b^n with c = tail_base, b = length_base."""
 
-    tail_base: int = 2
-    length_base: int = 2
-    depth: int = 2
+    __slots__ = _fields = ("tail_base", "length_base", "depth")
 
-    def __post_init__(self):
-        if self.tail_base < 2:
+    def __init__(self, tail_base: int = 2, length_base: int = 2, depth: int = 2):
+        if tail_base < 2:
             raise ValueError("tail base must be >= 2 (weights must sum below 1)")
-        if self.length_base < 2:
+        if length_base < 2:
             raise ValueError("length base must be >= 2 (N(2) must exceed 2)")
-        if self.depth < 1:
+        if depth < 1:
             raise ValueError("depth must be >= 1")
+        self._init(tail_base, length_base, depth)
 
     def t(self, n: int) -> Fraction:
         return Fraction(self.tail_base - 1, self.tail_base**n)

@@ -11,18 +11,19 @@ Set products and interiors run through the group's exact kernels,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import SizeCapExceeded
+from .frozen import Frozen
 from .groups import Group, group_from_token, require_same_group
 
 
-@dataclass(frozen=True)
-class FiniteSubset:
-    group: Group
-    elements: frozenset = field(default_factory=frozenset)
+class FiniteSubset(Frozen):
+    __slots__ = _fields = ("group", "elements")
+
+    def __init__(self, group: Group, elements: frozenset = frozenset()):
+        self._init(group, elements)
 
     @classmethod
     def of(cls, group: Group, elems: Iterable) -> "FiniteSubset":
@@ -176,8 +177,7 @@ def temperedness_constant(
     return best
 
 
-@dataclass(frozen=True)
-class ExtractionStep:
+class ExtractionStep(NamedTuple):
     k: int
     index: int
     folner_set: FiniteSubset

@@ -298,12 +298,12 @@ def test_criterion_09_convergence_and_weak11(z_reports, ll_report):
 def test_criterion_10_kadison_battery():
     rng = random.Random(1010)
     act = zd_mod_action(1, 3)
-    F = FiniteSubset.of(Z, ((i,) for i in range(3)))
+    push = act.push_set(FiniteSubset.of(Z, ((i,) for i in range(3))))
     bad = 0
     for _ in range(1000):
         raw = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)] for _ in range(3)]
         sym = [[(raw[i][j] + raw[j][i]) / 2 for j in range(3)] for i in range(3)]
-        ok, _ = kadison_check(act, F, Observable.matrix(sym))
+        ok, _ = kadison_check(act, push, Observable.matrix(sym))
         bad += 0 if ok else 1
     verdict(10, f"Kadison inequality, 1000 random symmetric 3x3, {bad} violations", bad == 0)
 

@@ -367,7 +367,7 @@ def test_kadison_swap_example():
     F = zset(0, 1)
     ax = ergodic_average(act, F, x)
     assert ax.data == ((Fraction(1, 2), 0), (0, Fraction(1, 2)))
-    ok, piv = kadison_check(act, F, x)
+    ok, piv = kadison_check(act, act.push_set(F), x)
     assert ok
     gap = ergodic_average(act, F, x.square()).sub(ax.square())
     assert gap.data == ((Fraction(1, 4), 0), (0, Fraction(1, 4)))
@@ -379,7 +379,7 @@ def test_kadison_random_functions():
     for _ in range(30):
         x = Observable.function([Fraction(rng.randint(-8, 8), 4) for _ in range(6)])
         F = zset(*{rng.randint(-10, 10) for _ in range(rng.randint(1, 5))})
-        ok, _ = kadison_check(act, F, x)
+        ok, _ = kadison_check(act, act.push_set(F), x)
         assert ok
 
 

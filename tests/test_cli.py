@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from folnerdom.groups import Zd
 from folnerdom.sets import FiniteSubset
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_config(path, doc):
@@ -453,3 +457,38 @@ def test_sweep(z_config, tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["sweep.csv"]
     printed = [line for line in capsys.readouterr().out.splitlines() if " r_N=" in line]
     assert [line.split()[:2] for line in printed] == [["tail_base=2", "n=2"], ["tail_base=3", "n=2"]]
+
+
+# Runs in a fresh ``python -S`` (no site, so no .pth file imports anything):
+# which modules a cold certify and a cold simulate load.
+STARTUP_PROBE = """
+import json, sys
+from folnerdom import cli
+loaded = lambda: {m: m in sys.modules for m in ("dataclasses", "inspect", "folnerdom.actions")}
+config, out = sys.argv[1:]
+codes = [cli.main([cmd, "--config", config, "--out", out]) for cmd in ("chain", "dominate")]
+after_certify = loaded()
+codes.append(cli.main(["simulate", "--config", config, "--out", out]))
+after_simulate = loaded()
+import folnerdom
+exports = {name: getattr(folnerdom, name).__name__ for name in folnerdom.__all__}
+print(json.dumps([codes, after_certify, after_simulate, exports]))
+"""
+
+
+def test_cold_certify_loads_no_dataclasses_and_no_actions(z_config, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", STARTUP_PROBE, z_config, str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    codes, after_certify, after_simulate, exports = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [EXIT_PASS] * 3
+    assert after_certify == {"dataclasses": False, "inspect": False, "folnerdom.actions": False}
+    assert after_simulate["folnerdom.actions"]
+    assert not after_simulate["dataclasses"] and not after_simulate["inspect"]
+    assert exports and all(name == found for name, found in exports.items())

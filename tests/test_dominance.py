@@ -148,11 +148,8 @@ def test_report_dict_shape(z_reports):
         "den": str(rep.min_scaled.numerator),
     }
     assert d["verdict"] == "pass" and d["tainted"] is False
-    zero = z_reports[2]
     # infinity sentinel
-    from dataclasses import replace
-
-    d_inf = report_to_dict(replace(zero, c_emp=None))
+    d_inf = report_to_dict(rep._replace(c_emp=None))
     assert d_inf["c_emp"] == "inf"
 
 
