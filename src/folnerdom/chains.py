@@ -7,6 +7,9 @@ A chain bundles the Folner subsequence F_n, the envelopes
 and the sub-probability measure omega = sum_{n<=K} t_n u_{E_n} truncated at
 depth K (total mass 1 - r_{K+1}; renormalizing would silently change the
 weights, and every finite-n certificate only uses indices <= n).
+``build_chain`` is the one place where a chain is built; given an
+extraction budget it also picks the subsequence F_n, and keeps the
+envelope it built while choosing each one.
 
 ``Chain.powers`` is the walk omega^(0) = delta_e, omega^(1), ..., the one
 place where powers of omega are convolved.  Every level certificate and
@@ -29,7 +32,7 @@ from .sets import (
     envelope_pad,
     interior_bilateral,
     is_symmetric_with_identity,
-    padded_envelope,
+    product,
 )
 from .schedules import Schedule, fn_size, ftilde_size
 
@@ -113,29 +116,6 @@ class Chain(Frozen):
         return walk[: J + 1]
 
 
-def build_E_sequence(
-    Fsub: list[FiniteSubset],
-    sched: Schedule,
-    depth: int | None = None,
-    cap: int | None = None,
-) -> list[FiniteSubset]:
-    """E_1 = F_1, then the padded-product recursion level by level."""
-    depth = len(Fsub) if depth is None else depth
-    if not 1 <= depth <= len(Fsub):
-        raise ValueError("depth must be between 1 and len(Fsub)")
-    for n, Fn in enumerate(Fsub[:depth], 1):
-        if not is_symmetric_with_identity(Fn):
-            raise ValueError(f"F_{n} must be symmetric and contain the identity")
-    E = [Fsub[0]]
-    for n in range(2, depth + 1):
-        try:
-            En = padded_envelope(envelope_pad(E[-1], sched.N(n), cap), Fsub[n - 1], cap)
-        except SizeCapExceeded as exc:
-            raise SizeCapExceeded(f"E_{n} ({exc.what})", exc.needed, exc.cap, exc.unit) from exc
-        E.append(En)
-    return E
-
-
 def build_omega(E: list[FiniteSubset], sched: Schedule) -> FinSupMeasure:
     """omega = sum_{n<=K} t_n * uniform(E_n); total mass 1 - r_{K+1}."""
     if not E:
@@ -148,10 +128,54 @@ def build_chain(
     sched: Schedule,
     depth: int | None = None,
     cap: int | None = None,
+    budget: int | None = None,
 ) -> Chain:
+    """The chain on ``Fsub``: E_1 = F_1, then level by level the envelope
+    E_n = P^{-1} F_n P^{-1} of the next set, with P = E_{n-1}^{N(n)-2}.
+
+    Without a ``budget``, F_n is the next set of ``Fsub``.  With one, the
+    sets after F_{n-1} are tried in order and F_n is the first whose
+    envelope has |E_n \\ F_n| / |F_n| < eps(n), which guarantees
+    |F_n| / |E_n| >= 1 / (1 + eps(n)); the envelope built while choosing is
+    the one the chain keeps.  A level that tries ``budget`` sets, or runs
+    out of them, without success is a cap hit: SizeCapExceeded names the
+    level, its best ratio and the budget, and counts the sets it tried as
+    the cap.
+    """
     depth = len(Fsub) if depth is None else depth
-    E = build_E_sequence(Fsub, sched, depth, cap)
-    return Chain(Fsub[0].group, Fsub[:depth], E, sched, build_omega(E, sched))
+    if not 1 <= depth <= len(Fsub):
+        raise ValueError("depth must be between 1 and len(Fsub)")
+
+    def checked():
+        for i, F in enumerate(Fsub, 1):
+            if not is_symmetric_with_identity(F):
+                raise ValueError(f"F_{i} must be symmetric and contain the identity")
+            yield F
+
+    sets = checked()
+    folner = [next(sets)]
+    E = folner[:]
+    for n in range(2, depth + 1):
+        best, tried = None, 0
+        try:
+            pad = envelope_pad(E[-1], sched.N(n), cap)
+            for Fn in sets:
+                tried += 1
+                En = product(product(pad, Fn, cap), pad, cap)
+                if budget is None:
+                    break
+                ratio = Fraction(len(En.elements - Fn.elements), len(Fn))
+                best = ratio if best is None else min(best, ratio)
+                if ratio < sched.eps(n) or tried >= budget:
+                    break
+        except SizeCapExceeded as exc:
+            raise SizeCapExceeded(f"E_{n} ({exc.what})", exc.needed, exc.cap, exc.unit) from exc
+        if budget is not None and (best is None or best >= sched.eps(n)):
+            what = f"extraction step {n} (best ratio {'none' if best is None else best}, budget {budget})"
+            raise SizeCapExceeded(what, tried + 1, tried, "candidates")
+        folner.append(Fn)
+        E.append(En)
+    return Chain(folner[0].group, folner, E, sched, build_omega(E, sched))
 
 
 def check_chain_identities(chain: Chain, cap: int | None = None) -> None:

@@ -39,7 +39,7 @@ from .dominance import (
 from .errors import ConfigError, SizeCapExceeded
 from .groups import Group, group_from_token, word_ball
 from .schedules import Schedule, fn_size, ftilde_size
-from .sets import FiniteSubset, extract_subsequence, is_symmetric_with_identity
+from .sets import FiniteSubset, is_symmetric_with_identity
 
 if TYPE_CHECKING:
     from .actions import FiniteAction, Observable
@@ -141,9 +141,9 @@ def _folner_sets(cfg: dict, group: Group, cap: int | None) -> list[FiniteSubset]
 
 def _build_chain(cfg: dict, cap: int | None, depth_flag: int | None) -> Chain:
     """The config's chain, the one ``chain`` writes and the other
-    subcommands certify: its Folner sets, the subsequence extraction when
-    the config has an ``extract`` block, then E_n and omega.  Extraction out
-    of budget is a cap hit."""
+    subcommands certify: its Folner sets, checked, then ``build_chain``,
+    which runs the subsequence extraction when the config has an
+    ``extract`` block.  Extraction out of budget is a cap hit."""
     group = group_from_token(cfg["group"])
     sched = _schedule_from(cfg, depth_flag)
     ex = _section(cfg, "extract")
@@ -156,12 +156,7 @@ def _build_chain(cfg: dict, cap: int | None, depth_flag: int | None) -> Chain:
             raise ConfigError(f"folner set {i} must be symmetric and contain the identity")
     if len(Fsub) < sched.depth:
         raise ConfigError("fewer Folner sets than schedule depth")
-    if budget is not None:
-        steps = extract_subsequence(
-            enumerate(Fsub, 1), sched.N, sched.eps, depth=sched.depth, budget=budget, cap=cap
-        )
-        Fsub = [s.folner_set for s in steps]
-    return build_chain(Fsub, sched, sched.depth, cap)
+    return build_chain(Fsub, sched, sched.depth, cap, budget)
 
 
 def _action_from(cfg: dict) -> FiniteAction:

@@ -58,7 +58,9 @@ def lower_estimate_check(
 
     Counts walk paths that stay in E_1 .. E_{n-1} for j-1 steps and take
     the single E_n step in any of the j slots.  Returns (ok, worst slack =
-    min density minus bound), computed exactly.
+    min density minus bound), computed exactly.  omega^(j) is read from the
+    chain's walk up to j = N(n)-2, the prefix the level-n certificate
+    builds; the top power j = N(n)-1 is taken on F_n only, by convolve_at.
     """
     sched = chain.schedule
     if not 1 <= n <= chain.depth:
@@ -66,8 +68,11 @@ def lower_estimate_check(
     if not 1 <= j < sched.N(n):
         raise ValueError("need 1 <= j < N(n)")
     Fn, En = chain.level(n)
-    # the walk up to j-1, then the top power only on F_n
-    dens = convolve_at(chain.powers(j - 1, cap)[-1], chain.omega, Fn.elements)
+    if j < sched.N(n) - 1:
+        top = chain.powers(j, cap)[-1]
+        dens = {g: top.mass(g) for g in Fn}
+    else:
+        dens = convolve_at(chain.powers(j - 1, cap)[-1], chain.omega, Fn.elements)
     bound = sched.head(n) ** (j - 1) * sched.t(n) * j / len(En)
     worst = min(dens[g] - bound for g in Fn)
     return worst >= 0, worst

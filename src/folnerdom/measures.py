@@ -143,9 +143,7 @@ def mix(parts: Sequence[tuple[Fraction, FinSupMeasure]]) -> FinSupMeasure:
     return mu
 
 
-def _apply_cap(
-    group: Group, num: dict, den: int, cap: int | None
-) -> tuple[dict, bool]:
+def _apply_cap(group: Group, num: dict, cap: int | None) -> tuple[dict, bool]:
     if cap is None or len(num) <= cap:
         return num, False
     # drop smallest masses first; break ties by canonical encoding order
@@ -160,8 +158,6 @@ def _reduce(num: dict, den: int) -> tuple[dict, int]:
         g = gcd(g, n)
         if g == 1:
             return num, den
-    if g == 1:
-        return num, den
     return {k: n // g for k, n in num.items()}, den // g
 
 
@@ -176,7 +172,7 @@ def convolve(
     require_same_group(mu.group, nu.group)
     out = mu.group.convolve(mu.numerators, nu.numerators)
     den = mu.denominator * nu.denominator
-    out, dropped = _apply_cap(mu.group, out, den, cap)
+    out, dropped = _apply_cap(mu.group, out, cap)
     out, den = _reduce(out, den)
     return FinSupMeasure(
         mu.group, out, den, mu.truncated or nu.truncated or dropped

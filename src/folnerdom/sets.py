@@ -1,4 +1,4 @@
-"""Finite-subset algebra: products, interiors, Folner ratios, extraction.
+"""Finite-subset algebra: products, interiors, Folner ratios.
 
 All operations are pure; a FiniteSubset is an immutable wrapper around a
 frozenset of group elements together with the group that owns the law.
@@ -12,7 +12,7 @@ Set products and interiors run through the group's exact kernels,
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .errors import SizeCapExceeded
 from .frozen import Frozen
@@ -107,11 +107,6 @@ def envelope_pad(E_prev: FiniteSubset, N: int, cap: int | None = None) -> Finite
     return inverse_set(power(E_prev, N - 2, cap))
 
 
-def padded_envelope(pad: FiniteSubset, F: FiniteSubset, cap: int | None = None) -> FiniteSubset:
-    """E_k = P^{-1} F P^{-1}, given the pad P^{-1} from ``envelope_pad``."""
-    return product(product(pad, F, cap), pad, cap)
-
-
 def symmetrize(A: FiniteSubset) -> FiniteSubset:
     """A U A^{-1} U {e}."""
     return FiniteSubset(
@@ -175,74 +170,3 @@ def temperedness_constant(
                 raise SizeCapExceeded("temperedness union", len(union), cap)
         best = max(best, Fraction(len(union), len(Fn)))
     return best
-
-
-class ExtractionStep(NamedTuple):
-    k: int
-    index: int
-    folner_set: FiniteSubset
-    envelope: FiniteSubset  # E_k
-    ratio: Fraction  # |E_k \ F_{n_k}| / |F_{n_k}|
-
-
-def extract_subsequence(
-    folner: Iterable[tuple[int, FiniteSubset]],
-    N: Callable[[int], int],
-    eps: Callable[[int], Fraction],
-    depth: int,
-    budget: int = 64,
-    cap: int | None = None,
-) -> list[ExtractionStep]:
-    """Pick a subsequence F_{n_k} whose envelopes E_k stay eps_k-close.
-
-    ``folner`` yields (index, set) pairs with strictly increasing indices.
-    Step 1 takes the first set as E_1 = F_{n_1}; for k >= 2 candidates are
-    consumed until
-
-        |E_k \\ F_{n_k}| / |F_{n_k}| < eps(k),
-        E_k = (E_{k-1}^{N(k)-2})^{-1} F_{n_k} (E_{k-1}^{N(k)-2})^{-1},
-
-    and returns the steps.  A step that tries ``budget`` candidates, or
-    runs out of them, without success is a cap hit: SizeCapExceeded names
-    the step, its best ratio and the budget, and counts the candidates it
-    tried as the cap.  A success at step k guarantees
-    |F_{n_k}| / |E_k| >= 1 / (1 + eps(k)).
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    it = iter(folner)
-    try:
-        idx, F1 = next(it)
-    except StopIteration:
-        raise ValueError("empty Folner stream") from None
-    if not is_symmetric_with_identity(F1):
-        raise ValueError("first Folner set must be symmetric and contain e")
-    steps = [ExtractionStep(1, idx, F1, F1, Fraction(0))]
-    last_index = idx
-    E_prev = F1
-    for k in range(2, depth + 1):
-        pad = envelope_pad(E_prev, N(k), cap)
-        eps_k = eps(k)
-        best: Fraction | None = None
-        found = None
-        tried = 0
-        for idx, Fc in it:
-            if idx <= last_index:
-                raise ValueError("Folner indices must be strictly increasing")
-            last_index = idx
-            tried += 1
-            Ek = padded_envelope(pad, Fc, cap)
-            ratio = Fraction(len(Ek.elements - Fc.elements), len(Fc))
-            if best is None or ratio < best:
-                best = ratio
-            if ratio < eps_k:
-                found = ExtractionStep(k, idx, Fc, Ek, ratio)
-                break
-            if tried >= budget:
-                break
-        if found is None:
-            what = f"extraction step {k} (best ratio {'none' if best is None else best}, budget {budget})"
-            raise SizeCapExceeded(what, tried + 1, tried, "candidates")
-        steps.append(found)
-        E_prev = found.envelope
-    return steps

@@ -10,7 +10,6 @@ import pytest
 from folnerdom import chains
 from folnerdom.chains import (
     build_chain,
-    build_E_sequence,
     build_omega,
     chain_manifest,
     check_chain_identities,
@@ -113,10 +112,10 @@ def test_build_E_requires_symmetric_base():
 
     shifted = FiniteSubset.of(Z, ((i,) for i in range(0, 5)))
     with pytest.raises(ValueError, match="F_1 must be symmetric"):
-        build_E_sequence([shifted, z_interval(16)], Schedule(depth=2))
+        build_chain([shifted, z_interval(16)], Schedule(depth=2))
     # every level, not only the first: E_2 of this chain is not symmetric
     with pytest.raises(ValueError, match="F_2 must be symmetric"):
-        build_E_sequence([z_interval(2), shifted], Schedule(depth=2))
+        build_chain([z_interval(2), shifted], Schedule(depth=2))
 
 
 def test_build_E_cap_reports_level():

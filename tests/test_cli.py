@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from folnerdom.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, load_config, main
+from folnerdom.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, _build_chain, load_config, main
 from folnerdom.groups import Zd
 from folnerdom.sets import FiniteSubset
 
@@ -291,6 +291,12 @@ def test_shipped_configs_build_their_chains(name, tmp_path):
             "dominate", _extract([1, 2, 3], 64), (), "extraction step 2 (best ratio 8/7, budget 64)",
             id="dominate-extract-out-of-sets",  # the Folner sets run out first
         ),
+        # a cap hit while choosing F_2 names its level, as without extraction:
+        # radius 16 gives P^-1 F_2 = [-18, 18]
+        pytest.param(
+            "chain", _extract([1, 2, 3, 16], 64), ("--cap", "34"),
+            "E_2 (set product): needs 37 elements, cap is 34\n", id="chain-extract-cap-34",
+        ),
     ],
 )
 def test_cap_hit_exits_budget(z_config, tmp_path, capsys, cmd, edit, flags, what):
@@ -329,6 +335,21 @@ def test_extraction_chain_is_the_certified_chain(z_config, tmp_path):
         sizes = {lvl["n"]: (lvl["card_F"], lvl["card_E"]) for lvl in chain}
         assert sizes[2] == (33, 41)  # F_2 = [-16, 16], the first radius with ratio < 1/4
         assert {lvl["n"]: (lvl["card_F"], lvl["card_E"]) for lvl in dom} == {2: sizes[2]}
+
+
+def test_extraction_builds_each_envelope_once(monkeypatch):
+    calls = []
+    product = Zd.product
+
+    def counted(self, *args):
+        calls.append(args)
+        return product(self, *args)
+
+    monkeypatch.setattr(Zd, "product", counted)
+    chain = _build_chain(load_config(str(CONFIGS / "z_extract.json")), None, None)
+    # one for the pad [-2, 2], two for the envelope of each of radii 2, 3, 16
+    assert len(calls) == 7
+    assert len(chain.folner[1]) == 33 and len(chain.envelopes[1]) == 41
 
 
 def test_custom_folner_sets_must_be_symmetric(z_config, tmp_path, capsys):

@@ -18,6 +18,7 @@ from folnerdom.dominance import (
     reference_constant,
     report_to_dict,
 )
+from folnerdom.measures import convolve_at
 from folnerdom.schedules import Schedule
 
 
@@ -119,11 +120,16 @@ def test_lamplighter_report(ll_report):
 
 
 def test_lower_estimate_small_j(z_chain2):
-    for j in (1, 2, 3):
-        ok, slack = lower_estimate_check(z_chain2, 2, j)
-        assert ok and slack >= 0
-    ok1, _ = lower_estimate_check(z_chain2, 1, 1)
-    assert ok1
+    sched = z_chain2.schedule
+    for n, js in ((1, (1,)), (2, (1, 2, 3))):
+        F, E = z_chain2.level(n)
+        for j in js:
+            ok, slack = lower_estimate_check(z_chain2, n, j)
+            assert ok and slack >= 0
+            # the same slack as a fresh convolve_at on top of omega^(j-1)
+            dens = convolve_at(z_chain2.powers(j - 1)[-1], z_chain2.omega, F.elements)
+            bound = sched.head(n) ** (j - 1) * sched.t(n) * j / len(E)
+            assert slack == min(dens[g] - bound for g in F)
     with pytest.raises(ValueError):
         lower_estimate_check(z_chain2, 2, 4)  # j must stay below N(2) = 4
 

@@ -1,4 +1,4 @@
-"""Finite-subset algebra: products, interiors, ratios, extraction."""
+"""Finite-subset algebra: products, interiors, ratios; subsequence extraction."""
 
 from __future__ import annotations
 
@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folnerdom.chains import lamplighter_folner
+from folnerdom.chains import build_chain, lamplighter_folner
 from folnerdom.errors import SizeCapExceeded
 from folnerdom.groups import Heisenberg, Lamplighter, Zd, word_ball
+from folnerdom.schedules import Schedule
 from folnerdom.sets import (
     FiniteSubset,
-    extract_subsequence,
     folner_ratio,
     interior_bilateral,
     inverse_set,
@@ -192,50 +192,39 @@ def test_serialization_roundtrip():
     assert text == back.serialize()
 
 
-def test_extract_subsequence_z():
-    sched_N = lambda k: 2**k
-    eps = lambda k: Fraction(1, 2**k)
-    stream = ((n, z_interval(n)) for n in range(1, 64))
-    step = extract_subsequence(stream, sched_N, eps, depth=2)[1]
-    # E_2 = [-(n+4), n+4]; first index with 8/(2n+1) < 1/4 is 16
-    assert step.index == 16
-    assert step.ratio == Fraction(8, 33)
-    assert Fraction(len(step.folner_set), len(step.envelope)) >= 1 / (1 + eps(2))
+def test_extract_z():
+    sched = Schedule(depth=2)
+    chain = build_chain([z_interval(n) for n in range(1, 64)], sched, 2, budget=64)
+    F2, E2 = chain.level(2)
+    # E_2 = [-(n+4), n+4]; the first radius with 8/(2n+1) < eps(2) = 1/4 is 16
+    assert F2 == z_interval(16) and E2 == z_interval(20)
+    assert Fraction(len(E2.elements - F2.elements), len(F2)) == Fraction(8, 33)
+    assert Fraction(len(F2), len(E2)) >= 1 / (1 + sched.eps(2))
 
 
-def test_extract_subsequence_budget():
-    stream = ((n, z_interval(n)) for n in range(1, 10))
+def test_extract_budget():
+    sets = [z_interval(n) for n in range(1, 10)]
     with pytest.raises(SizeCapExceeded) as exc:
-        extract_subsequence(stream, lambda k: 2**k, lambda k: Fraction(1, 1000), depth=2, budget=5)
+        build_chain(sets, Schedule(depth=2), 2, budget=5)
     # candidates 2..6 tried, the best of them the last: |[-10, 10] \ [-6, 6]| / 13
     assert exc.value.what == "extraction step 2 (best ratio 8/13, budget 5)"
     assert (exc.value.needed, exc.value.cap, exc.value.unit) == (6, 5, "candidates")
-    # the stream runs out first: 8 candidates left, the budget allows 64
+    # the sets run out first: 8 candidates left, the budget allows 64
     with pytest.raises(SizeCapExceeded, match="budget 64\\): needs 9 candidates, cap is 8"):
-        extract_subsequence(
-            ((n, z_interval(n)) for n in range(1, 10)), lambda k: 2**k, lambda k: Fraction(1, 1000), depth=2
-        )
+        build_chain(sets, Schedule(depth=2), 2, budget=64)
 
 
 def test_extract_first_try_trivial():
-    stream = iter([(1, z_interval(1)), (2, z_interval(2))])
-    steps = extract_subsequence(
-        stream, lambda k: 2**k, lambda k: Fraction(10), depth=2
-    )
-    assert steps[1].index == 2
+    sets = [z_interval(1), z_interval(16)]
+    assert build_chain(sets, Schedule(depth=2), budget=64) == build_chain(sets, Schedule(depth=2))
 
 
 def test_extract_lamplighter_level2():
-    # early lamplighter ratios are large (|E_2 \ F_2|/|F_2| = 193/7), so a
-    # loose tolerance certifies the mechanics; a tighter one picks n_2 = 3
-    fols = [(n, lamplighter_folner(n)[1]) for n in (1, 2, 3, 4)]
-    step = extract_subsequence(
-        iter(fols), lambda k: 2**k, lambda k: Fraction(30), depth=2
-    )[1]
-    assert step.index == 2 and step.ratio == Fraction(1544, 56)
-    assert is_symmetric_with_identity(step.envelope)
-    assert step.folner_set.issubset(step.envelope)
-    steps = extract_subsequence(
-        iter(fols), lambda k: 2**k, lambda k: Fraction(20), depth=2
+    # early lamplighter ratios are large (|E_2 \ F_2|/|F_2| = 193/7 at F_2),
+    # so F_2 .. F_4 all miss eps(2) = 1/4
+    fols = [lamplighter_folner(n)[1] for n in (1, 2, 3, 4)]
+    with pytest.raises(SizeCapExceeded) as exc:
+        build_chain(fols, Schedule(depth=2), 2, budget=64)
+    assert str(exc.value) == (
+        "extraction step 2 (best ratio 232/17, budget 64): needs 4 candidates, cap is 3"
     )
-    assert steps[1].index == 3

@@ -14,7 +14,7 @@ from folnerdom.dominance import dominance_report
 from folnerdom.groups import Zd
 from folnerdom.measures import FinSupMeasure
 from folnerdom.schedules import Schedule
-from folnerdom.sets import ExtractionStep, FiniteSubset
+from folnerdom.sets import FiniteSubset
 
 from conftest import z_interval
 
@@ -28,7 +28,6 @@ def _chain():
 # class name -> a function that builds the same value afresh on each call
 MAKERS = {
     "FiniteSubset": lambda: FiniteSubset.of(Z, [(0,), (1,)]),
-    "ExtractionStep": lambda: ExtractionStep(1, 3, z_interval(1), z_interval(1), Fraction(0)),
     "Schedule": lambda: Schedule(tail_base=3),
     "FinSupMeasure": lambda: FinSupMeasure(Z, {(0,): 1, (1,): 2}, 3),
     "Chain": _chain,
