@@ -12,9 +12,9 @@ extraction budget it also picks the subsequence F_n, and keeps the
 envelope it built while choosing each one.
 
 ``Chain.powers`` is the walk omega^(0) = delta_e, omega^(1), ..., the one
-place where powers of omega are convolved.  Every level certificate and
-every lower estimate reads a prefix of it, so each power is built once per
-(chain, cap).
+place where powers of omega are convolved.  Every level report reads a
+prefix of it (``dominance.level_densities``), so each power is built once
+per (chain, cap).
 """
 
 from __future__ import annotations
@@ -178,8 +178,9 @@ def build_chain(
     return Chain(folner[0].group, folner, E, sched, build_omega(E, sched))
 
 
-def check_chain_identities(chain: Chain, cap: int | None = None) -> None:
-    """Raise AssertionError unless the structural chain identities hold.
+def check_chain_identities(chain: Chain, cap: int | None = None) -> list[str]:
+    """The structural chain identities that fail, one message each; [] when
+    all of them hold.
 
     For every built level: e in E_n = E_n^{-1} subset E_{n+1}, F_n subset
     E_n, and F_n subset iota(P^{-1}, P^{-1}, E_n) with P = E_{n-1}^{N(n)-2}
@@ -188,16 +189,20 @@ def check_chain_identities(chain: Chain, cap: int | None = None) -> None:
     on Z but not in general: the level-2 lamplighter interior is strictly
     larger than F_2.)
     """
+    failures = []
     for n in range(1, chain.depth + 1):
         Fn, En = chain.level(n)
-        assert is_symmetric_with_identity(En), f"E_{n} not symmetric with e"
-        assert Fn.issubset(En), f"F_{n} not inside E_{n}"
-        if n < chain.depth:
-            assert En.issubset(chain.envelopes[n]), f"E_{n} not inside E_{n+1}"
+        if not is_symmetric_with_identity(En):
+            failures.append(f"E_{n} not symmetric with e")
+        if not Fn.issubset(En):
+            failures.append(f"F_{n} not inside E_{n}")
+        if n < chain.depth and not En.issubset(chain.envelopes[n]):
+            failures.append(f"E_{n} not inside E_{n+1}")
         if n >= 2:
             pad = envelope_pad(chain.envelopes[n - 2], chain.schedule.N(n), cap)
-            inner = interior_bilateral(pad, pad, En)
-            assert Fn.issubset(inner), f"interior containment fails at level {n}"
+            if not Fn.issubset(interior_bilateral(pad, pad, En)):
+                failures.append(f"interior containment fails at level {n}")
+    return failures
 
 
 def support_generates(chain: Chain, target: FiniteSubset, max_size: int) -> bool:

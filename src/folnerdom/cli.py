@@ -28,7 +28,9 @@ import tempfile
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .chains import Chain, _rat, build_chain, chain_manifest, lamplighter_folner, lamplighter_ftilde
+from .chains import (
+    Chain, _rat, build_chain, chain_manifest, check_chain_identities, lamplighter_folner, lamplighter_ftilde
+)
 from .dominance import (
     DominanceReport,
     dominance_report,
@@ -75,7 +77,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"{path}: {exc.strerror}") from exc
     except ValueError as exc:
         raise ConfigError(f"{path} is not JSON: {exc}") from exc
-    if not isinstance(cfg, dict) or cfg.get("schema") != 1:
+    if not isinstance(cfg, dict) or type(cfg.get("schema")) is not int or cfg["schema"] != 1:
         raise ConfigError("schema must be 1")
     if not isinstance(cfg.get("group"), str):
         raise ConfigError("group token required")
@@ -87,8 +89,9 @@ def load_config(path: str) -> dict:
 
 
 def _whole(value, what: str, least: int) -> int:
-    """``value`` if it is an integer >= ``least``; otherwise a ConfigError."""
-    if not isinstance(value, int) or value < least:
+    """``value`` if it is an integer >= ``least``; otherwise a ConfigError.
+    JSON true and false are not integers (the ``type`` test rejects bool)."""
+    if type(value) is not int or value < least:
         raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
     return value
 
@@ -174,7 +177,7 @@ def _observable_from(spec: dict, act: FiniteAction) -> Observable:
     try:
         if kind == "indicator":
             states = spec.get("states", [0])
-            if not all(isinstance(i, int) and 0 <= i < act.size for i in states):
+            if not all(type(i) is int and 0 <= i < act.size for i in states):
                 raise ConfigError(f"states must lie in [0, {act.size})")
             return Observable.indicator(act.size, states)
         if kind == "function":
@@ -257,9 +260,13 @@ def cmd_chain(cfg: dict, out: str, cap: int | None, depth: int | None, seed: int
 
 
 def cmd_dominate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: int) -> int:
-    """Per-level dominance certificates; nonzero exit if any level fails."""
+    """Per-level dominance certificates and the chain identities; nonzero
+    exit if any level or identity fails."""
     chain = _build_chain(cfg, cap, depth)
     reports, worst = certify_levels(chain, cap)
+    for message in check_chain_identities(chain, cap):
+        print(f"identity: {message}", file=sys.stderr)
+        worst = EXIT_FAIL
     csv = ["n,card_F,card_E,N,min_scaled,bound,c_emp,verdict,taint"]
     for rep in reports:
         csv.append(

@@ -7,10 +7,10 @@ The certified statement at level n of a chain: for every g in F_n,
            ((1 - (1-r_n)^N)/(r_n N) - (1-r_n)^{N-1})  > 0,
 
 so the uniform average over F_n is dominated by C times the Cesaro mean
-of the omega-walk with C = 1 / (that minimum).  The level certificates
-and the lower estimates all read the chain's one walk, ``Chain.powers``,
-with the top power taken pointwise on F_n through ``convolve_at``; under a
-cap every value is a certified lower bound and the report is tainted.
+of the omega-walk with C = 1 / (that minimum).  The report of a level also
+checks the pointwise lower estimate of every power j < N(n) on F_n.  Both
+come from one reading of the walk on F_n, ``level_densities``; under a cap
+every value is a certified lower bound and the report is tainted.
 Everything on this page is exact rational arithmetic; floats appear only
 in the limit diagnostics, never in verdicts.
 """
@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .chains import Chain, _rat
-from .measures import cesaro_density, convolve_at
+from .measures import convolve_at
 from .schedules import Schedule
 
 
@@ -51,31 +51,32 @@ def finite_n_lower_bound(
     return Fraction(lamF, lamE) * (1 - r_np1 / r_n) * bracket
 
 
-def lower_estimate_check(
-    chain: Chain, n: int, j: int, cap: int | None = None
-) -> tuple[bool, Fraction]:
-    """Check d omega^(j)/d lambda >= (sum_{i<n} t_i)^{j-1} t_n j / |E_n| on F_n.
+def level_densities(chain: Chain, n: int, cap: int | None = None) -> tuple[list[dict], bool]:
+    """([element -> d omega^(j)/d lambda on F_n, for j = 0 .. N(n)-1], tainted).
 
-    Counts walk paths that stay in E_1 .. E_{n-1} for j-1 steps and take
-    the single E_n step in any of the j slots.  Returns (ok, worst slack =
-    min density minus bound), computed exactly.  omega^(j) is read from the
-    chain's walk up to j = N(n)-2, the prefix the level-n certificate
-    builds; the top power j = N(n)-1 is taken on F_n only, by convolve_at.
+    The one reader of omega's powers on F_n: omega^(0) .. omega^(N-2) come
+    from the chain's walk, and the top power from one ``convolve_at`` on
+    F_n, so the N-th convolution is never built.  Tainted: a capped power
+    made every value a certified lower bound.
+    """
+    Fn = chain.level(n)[0]
+    walk = chain.powers(chain.schedule.N(n) - 2, cap)
+    dens = [{g: p.mass(g) for g in Fn} for p in walk]
+    dens.append(convolve_at(walk[-1], chain.omega, Fn.elements))
+    return dens, chain.omega.truncated or any(p.truncated for p in walk)
+
+
+def lower_estimate_slacks(chain: Chain, n: int, dens: list[dict]) -> list[Fraction]:
+    """Per j = 1 .. N(n)-1, min over F_n of d omega^(j)/d lambda minus
+    (sum_{i<n} t_i)^{j-1} t_n j / |E_n|, with ``dens`` from level_densities.
+
+    The bound counts walk paths that stay in E_1 .. E_{n-1} for j-1 steps
+    and take the single E_n step in any of the j slots.
     """
     sched = chain.schedule
-    if not 1 <= n <= chain.depth:
-        raise ValueError("level outside chain")
-    if not 1 <= j < sched.N(n):
-        raise ValueError("need 1 <= j < N(n)")
-    Fn, En = chain.level(n)
-    if j < sched.N(n) - 1:
-        top = chain.powers(j, cap)[-1]
-        dens = {g: top.mass(g) for g in Fn}
-    else:
-        dens = convolve_at(chain.powers(j - 1, cap)[-1], chain.omega, Fn.elements)
-    bound = sched.head(n) ** (j - 1) * sched.t(n) * j / len(En)
-    worst = min(dens[g] - bound for g in Fn)
-    return worst >= 0, worst
+    card_E = len(chain.level(n)[1])
+    head, t = sched.head(n), sched.t(n)
+    return [min(dens[j].values()) - head ** (j - 1) * t * j / card_E for j in range(1, sched.N(n))]
 
 
 def limit_profile(x: float) -> float:
@@ -117,6 +118,7 @@ class DominanceReport(NamedTuple):
     N: int
     min_scaled: Fraction  # min of (|F_n|/N) sum_j density, over F_n
     bound: Fraction  # theoretical finite-n lower bound
+    lower_slacks: tuple  # lower_estimate_slacks, index j - 1; not serialized
     c_emp: Fraction | None  # 1 / min_scaled; None encodes infinity
     verdict: str  # "pass" | "fail"
     tainted: bool
@@ -129,17 +131,19 @@ class DominanceReport(NamedTuple):
 
 
 def dominance_report(chain: Chain, n: int, cap: int | None = None) -> DominanceReport:
-    """Assemble the level-n certificate; a failing level is a valid report."""
+    """Assemble the level-n certificate; a failing level is a valid report.
+    It passes when min_scaled >= bound > 0 and every lower slack is >= 0."""
     sched = chain.schedule
     if chain.depth < n:
         raise ValueError("chain shallower than requested level")
     Fn, En = chain.level(n)
     N = sched.N(n)
-    dens, tainted = cesaro_density(chain.powers(N - 2, cap), chain.omega, Fn)
-    min_scaled = min(dens.values()) * len(Fn)
+    dens, tainted = level_densities(chain, n, cap)
+    min_scaled = min(sum(d[g] for d in dens) for g in Fn) * len(Fn) / N
     bound = finite_n_lower_bound(len(Fn), len(En), sched.r(n), sched.r(n + 1), N)
+    lower_slacks = tuple(lower_estimate_slacks(chain, n, dens))
     c_emp = None if min_scaled == 0 else 1 / min_scaled
-    verdict = "pass" if (min_scaled >= bound and bound > 0) else "fail"
+    verdict = "pass" if min_scaled >= bound > 0 and min(lower_slacks) >= 0 else "fail"
     return DominanceReport(
         n=n,
         card_F=len(Fn),
@@ -147,6 +151,7 @@ def dominance_report(chain: Chain, n: int, cap: int | None = None) -> DominanceR
         N=N,
         min_scaled=min_scaled,
         bound=bound,
+        lower_slacks=lower_slacks,
         c_emp=c_emp,
         verdict=verdict,
         tainted=tainted,

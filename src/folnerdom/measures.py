@@ -11,8 +11,9 @@ never fake one.
 raw numerators from the group's exact kernel, ``group.convolve`` (see
 ``groups``), then applies the cap and reduces the fraction the same way
 whichever kernel ran.  The powers of omega are walked once per chain, by
-``Chain.powers`` (see ``chains``); ``cesaro_density`` reads a prefix of
-that walk and adds the last power pointwise through ``convolve_at``.
+``Chain.powers`` (see ``chains``), and read on F_n by
+``dominance.level_densities``; ``convolve_at`` gives a convolution at
+chosen points only.
 """
 
 from __future__ import annotations
@@ -200,29 +201,6 @@ def convolve_at(mu: FinSupMeasure, nu: FinSupMeasure, points: Iterable) -> dict:
         for g in points:
             out[g] = Fraction(sum(v * get(mulop(g, ki), 0) for ki, v in terms), den)
     return out
-
-
-def cesaro_density(
-    powers: Sequence[FinSupMeasure], omega: FinSupMeasure, eval_set: FiniteSubset
-) -> tuple[dict, bool]:
-    """(1/N) sum_{j<N} d omega^(j)/d lambda on eval_set, with N = len(powers) + 1.
-
-    ``powers`` is [omega^(0), ..., omega^(N-2)], a prefix of the chain's
-    walk (``Chain.powers``); the last power omega^(N-1) is evaluated only at
-    the requested points, by ``convolve_at``, which keeps the N-th
-    convolution from dominating the cost.  Returns (element -> Fraction,
-    tainted): exact values, or certified lower bounds when a power was capped.
-    """
-    require_same_group(omega.group, eval_set.group)
-    if not powers or len(eval_set) == 0:
-        raise ValueError("need omega^(0) and a nonempty evaluation set")
-    N = len(powers) + 1
-    totals = convolve_at(powers[-1], omega, eval_set.elements)
-    for p in powers:
-        for g in totals:
-            totals[g] += p.mass(g)
-    tainted = omega.truncated or any(p.truncated for p in powers)
-    return {g: v / N for g, v in totals.items()}, tainted
 
 
 def mixed_absorption_value(

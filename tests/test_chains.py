@@ -9,6 +9,7 @@ import pytest
 
 from folnerdom import chains
 from folnerdom.chains import (
+    Chain,
     build_chain,
     build_omega,
     chain_manifest,
@@ -87,9 +88,18 @@ def test_build_omega_weights(z_chain2):
 
 
 def test_check_chain_identities(z_chain2, z_chain3, ll_chain):
-    check_chain_identities(z_chain2)
-    check_chain_identities(z_chain3)
-    check_chain_identities(ll_chain)
+    assert check_chain_identities(z_chain2) == []
+    assert check_chain_identities(z_chain3) == []
+    assert check_chain_identities(ll_chain) == []
+
+
+def test_check_chain_identities_reports_failures(z_chain2):
+    F1 = z_chain2.folner[0]
+    wide = Chain(Z, [F1, z_interval(30)], z_chain2.envelopes, z_chain2.schedule, z_chain2.omega)
+    assert check_chain_identities(wide) == [
+        "F_2 not inside E_2",
+        "interior containment fails at level 2",
+    ]
 
 
 def test_interior_equality_on_z_but_not_lamplighter(z_chain2, ll_chain):

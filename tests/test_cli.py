@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from folnerdom import dominance
 from folnerdom.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, _build_chain, load_config, main
 from folnerdom.groups import Zd
 from folnerdom.sets import FiniteSubset
@@ -197,6 +198,15 @@ def _extract(radii, budget):
         pytest.param(
             "simulate", _set("simulate", observable={"kind": "indicator", "states": 3}), (), id="states-3"
         ),
+        # JSON true used to pass as the integer 1
+        pytest.param("dominate", _set("folner", radii=[True, 16]), (), id="radius-true"),
+        pytest.param("chain", _set("extract", budget=True), (), id="extract-budget-true"),
+        pytest.param("simulate", _set("simulate", kadison_trials=True), (), id="kadison-trials-true"),
+        pytest.param(
+            "simulate", _set("simulate", observable={"kind": "indicator", "states": [True]}), (), id="state-true"
+        ),
+        pytest.param("dominate", _put("schema", True), (), id="schema-true"),
+        pytest.param("dominate", _put("schema", 1.0), (), id="schema-1.0"),
     ],
 )
 def test_invalid_config_is_usage_error(z_config, tmp_path, capsys, cmd, edit, flags):
@@ -403,6 +413,30 @@ def test_dominate_deterministic(z_config, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert f"n=2 min_scaled*|E_n|/|F_n|={float(scaled):.7f}" in printed
     assert "0.1484985" in printed
+
+
+def test_dominate_fails_on_a_broken_identity(z_config, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("folnerdom.cli.check_chain_identities", lambda chain, cap: ["F_2 not inside E_2"])
+    out = tmp_path / "out"
+    assert run("dominate", z_config, out) == EXIT_FAIL
+    assert capsys.readouterr().err == "identity: F_2 not inside E_2\n"
+    # the level certificates are still written, as for a failing level
+    assert {p.name for p in out.iterdir()} == {"dominance.json", "dominance.csv"}
+    assert json.loads((out / "dominance.json").read_text())["levels"][0]["verdict"] == "pass"
+
+
+def test_dominate_reads_the_top_power_once_per_level(tmp_path, monkeypatch):
+    calls = []
+    convolve_at = dominance.convolve_at
+
+    def counted(mu, nu, points):
+        calls.append(mu)
+        return convolve_at(mu, nu, points)
+
+    monkeypatch.setattr(dominance, "convolve_at", counted)
+    config = str(CONFIGS / "z_depth3.json")
+    assert run("dominate", config, tmp_path / "out", "--depth", "2") == EXIT_PASS
+    assert len(calls) == 1  # one certified level, items 1 and 2 together
 
 
 def test_simulate_pass_and_seeded(z_config, tmp_path):

@@ -8,18 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from folnerdom import dominance
+from folnerdom.chains import Chain, build_omega
 from folnerdom.dominance import (
     arithgeo_closed_form,
     dominance_report,
     finite_n_lower_bound,
+    level_densities,
     limit_diagnostics,
     limit_profile,
-    lower_estimate_check,
+    lower_estimate_slacks,
     reference_constant,
     report_to_dict,
 )
+from folnerdom.groups import Heisenberg, word_ball
 from folnerdom.measures import convolve_at
 from folnerdom.schedules import Schedule
+from folnerdom.sets import FiniteSubset
 
 
 @settings(max_examples=200, deadline=None)
@@ -119,19 +124,53 @@ def test_lamplighter_report(ll_report):
     assert float(ll_report.c_emp) < 100
 
 
+def _heisenberg_chain() -> Chain:
+    """F_n = E_n = the Heisenberg balls of radii 1 and 2, by hand: small
+    enough for the full omega^(3), which build_chain's E_2 would not be."""
+    H = Heisenberg()
+    balls = [FiniteSubset(H, word_ball(H, r)) for r in (1, 2)]
+    sched = Schedule(depth=2)
+    return Chain(H, balls, balls, sched, build_omega(balls, sched))
+
+
+def test_level_densities_match_full_powers(z_chain2):
+    # on Z (Kronecker kernel) and on Heisenberg (pairwise loop): the walk
+    # prefix and the pointwise top power against the full convolutions
+    for chain in (z_chain2, _heisenberg_chain()):
+        for n in (1, 2):
+            F, N = chain.level(n)[0], chain.schedule.N(n)
+            dens, tainted = level_densities(chain, n)
+            full = chain.powers(N - 1)
+            assert not tainted and len(dens) == N
+            for j in range(N):
+                assert dens[j] == {g: full[j].mass(g) for g in F}, (chain.group.token(), n, j)
+        # the certificate (from level 2 on) is the Cesaro sum of the full powers
+        direct = min(sum(p.mass(g) for p in full) for g in F) * len(F) / N
+        assert dominance_report(chain, 2).min_scaled == direct
+
+
 def test_lower_estimate_small_j(z_chain2):
     sched = z_chain2.schedule
-    for n, js in ((1, (1,)), (2, (1, 2, 3))):
+    by_level = {
+        1: lower_estimate_slacks(z_chain2, 1, level_densities(z_chain2, 1)[0]),
+        2: dominance_report(z_chain2, 2).lower_slacks,
+    }
+    for n, slacks in by_level.items():
         F, E = z_chain2.level(n)
-        for j in js:
-            ok, slack = lower_estimate_check(z_chain2, n, j)
-            assert ok and slack >= 0
+        assert len(slacks) == sched.N(n) - 1
+        for j, slack in enumerate(slacks, 1):
+            assert slack >= 0
             # the same slack as a fresh convolve_at on top of omega^(j-1)
             dens = convolve_at(z_chain2.powers(j - 1)[-1], z_chain2.omega, F.elements)
             bound = sched.head(n) ** (j - 1) * sched.t(n) * j / len(E)
             assert slack == min(dens[g] - bound for g in F)
-    with pytest.raises(ValueError):
-        lower_estimate_check(z_chain2, 2, 4)  # j must stay below N(2) = 4
+
+
+def test_failed_lower_estimate_fails_the_level(z_chain2, monkeypatch):
+    monkeypatch.setattr(dominance, "lower_estimate_slacks", lambda *args: [-1])
+    rep = dominance_report(z_chain2, 2)
+    assert rep.min_scaled >= rep.bound > 0
+    assert rep.verdict == "fail"
 
 
 def test_min_scaled_cap_is_sound(z_chain2):

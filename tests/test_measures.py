@@ -9,16 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folnerdom.chains import lamplighter_folner
+from folnerdom.chains import Chain, lamplighter_folner
+from folnerdom.dominance import level_densities
 from folnerdom.groups import Group, Heisenberg, Lamplighter, Zd, word_ball
 from folnerdom.measures import (
     FinSupMeasure,
-    cesaro_density,
     convolve,
     convolve_at,
     mix,
     mixed_absorption_value,
 )
+from folnerdom.schedules import Schedule
 from folnerdom.sets import (
     FiniteSubset,
     interior_bilateral,
@@ -191,12 +192,21 @@ def _walk(omega: FinSupMeasure, J: int) -> list[FinSupMeasure]:
     return powers
 
 
+def _cesaro_density(omega: FinSupMeasure, F: FiniteSubset, N: int) -> tuple[dict, bool]:
+    """(1/N) sum_{j<N} d omega^(j)/d lambda on F, read through level_densities
+    on a one-level chain with F_1 = E_1 = F and N(1) = N."""
+    chain = Chain(omega.group, [F], [F], Schedule(length_base=N, depth=1), omega)
+    dens, tainted = level_densities(chain, 1)
+    assert len(dens) == N
+    return {g: sum(d[g] for d in dens) / N for g in F}, tainted
+
+
 def test_cesaro_density_examples():
     u = FinSupMeasure.uniform(z_interval(1))
-    two, tainted = cesaro_density(_walk(u, 0), u, z_interval(1))
+    two, tainted = _cesaro_density(u, z_interval(1), 2)
     assert not tainted
     assert two[(0,)] == Fraction(2, 3) and two[(1,)] == Fraction(1, 6)
-    three, _ = cesaro_density(_walk(u, 1), u, FiniteSubset.singleton(Z, (0,)))
+    three, _ = _cesaro_density(u, FiniteSubset.singleton(Z, (0,)), 3)
     assert three[(0,)] == Fraction(5, 9)  # (1 + 1/3 + 3/9) / 3
 
 
@@ -214,7 +224,7 @@ def test_cesaro_density_matches_direct_power_sum():
         u = mix([(Fraction(1, 2), FinSupMeasure.uniform(small)),
                  (Fraction(1, 4), FinSupMeasure.uniform(big))])
         powers = _walk(u, N - 1)
-        fast, tainted = cesaro_density(powers[: N - 1], u, ev)
+        fast, tainted = _cesaro_density(u, ev, N)
         assert not tainted
         for g in ev:
             assert fast[g] == sum(p.mass(g) for p in powers) / N, group.token()
