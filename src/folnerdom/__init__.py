@@ -13,8 +13,9 @@ _EXPORTS = {
     "chains": ("Chain", "build_chain", "lamplighter_folner"),
     "dominance": ("DominanceReport", "dominance_report"),
     "groups": ("Group", "Heisenberg", "Lamplighter", "Zd"),
+    "lemmas": ("SymbolicSize",),
     "measures": ("FinSupMeasure",),
-    "schedules": ("Schedule", "SymbolicSize"),
+    "schedules": ("Schedule",),
     "sets": ("FiniteSubset",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -58,7 +58,9 @@ from .sets import FiniteSubset
 
 def _rational(v):
     """v itself when it is an int or a Fraction (both have numerator and
-    denominator), else Fraction(v)."""
+    denominator), else Fraction(v); a bool is not a number here."""
+    if isinstance(v, bool):
+        raise TypeError(f"{v!r} is not a rational")
     return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 

@@ -25,7 +25,7 @@ from itertools import combinations
 
 from .errors import SizeCapExceeded
 from .frozen import Frozen
-from .groups import Group, Lamplighter, generated_closure
+from .groups import Group, Lamplighter
 from .measures import FinSupMeasure, convolve, mix
 from .sets import (
     FiniteSubset,
@@ -203,20 +203,6 @@ def check_chain_identities(chain: Chain, cap: int | None = None) -> list[str]:
             if not Fn.issubset(interior_bilateral(pad, pad, En)):
                 failures.append(f"interior containment fails at level {n}")
     return failures
-
-
-def support_generates(chain: Chain, target: FiniteSubset, max_size: int) -> bool:
-    """True if the BFS closure of supp(omega) reaches ``target``.
-
-    Finite stand-in for nondegeneracy: the group generated by the support
-    of omega must be everything, otherwise the averages could miss F_n
-    entirely (EF_n disjoint from F_n for E outside the closure).
-    """
-    supp = chain.omega.support()
-    for closure in generated_closure(chain.group, supp.elements, max_size):
-        if target.elements <= closure:
-            return True
-    return False
 
 
 def _rat(q: Fraction) -> dict:

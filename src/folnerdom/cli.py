@@ -26,6 +26,7 @@ import random
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import islice
 from typing import TYPE_CHECKING, Sequence
 
 from .chains import (
@@ -162,12 +163,18 @@ def _build_chain(cfg: dict, cap: int | None, depth_flag: int | None) -> Chain:
     return build_chain(Fsub, sched, sched.depth, cap, budget)
 
 
-def _action_from(cfg: dict) -> FiniteAction:
+def _action_from(cfg: dict, cap: int | None) -> FiniteAction:
+    """The action on the config's quotient mod ``action.modulus``; a quotient
+    of more than ``cap`` states is a cap hit, found at state cap + 1."""
     from .actions import FiniteAction
 
     m = _whole(_section(cfg, "action").get("modulus", 4), "action.modulus", 1)
     group = group_from_token(cfg["group"])
-    return FiniteAction(group, *group.quotient(m))
+    states, qmap = group.quotient(m)
+    states = list(islice(states, None if cap is None else cap + 1))
+    if cap is not None and len(states) > cap:
+        raise SizeCapExceeded("quotient", cap + 1, cap, "elements or more")
+    return FiniteAction(group, states, qmap)
 
 
 def _observable_from(spec: dict, act: FiniteAction) -> Observable:
@@ -199,9 +206,11 @@ def _simulate_params(sim: dict, group: Group) -> tuple[list, Fraction, Fraction,
     else:
         key, default, least = "convergence_radii", [1, 4, 16, 64], 0
     conv_ns = _wholes(sim.get(key, default), f"simulate.{key}", least)
+    tol, eps = sim.get("tolerance", "1/1000"), sim.get("eps", "1/8")
     try:
-        tol = Fraction(sim.get("tolerance", "1/1000"))
-        eps = Fraction(sim.get("eps", "1/8"))
+        if isinstance(tol, bool) or isinstance(eps, bool):
+            raise TypeError("JSON true and false are not rationals")
+        tol, eps = Fraction(tol), Fraction(eps)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"simulate: tolerance and eps must be rationals: {exc}") from exc
     if eps <= 0:
@@ -301,7 +310,7 @@ def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
     )
 
     sim = _section(cfg, "simulate")
-    act = _action_from(cfg)
+    act = _action_from(cfg, cap)
     conv_ns, tol, eps, trials, dim = _simulate_params(sim, act.group)
     x = _observable_from(_section(sim, "observable", "simulate.observable"), act)
     if x.size != act.size:

@@ -26,17 +26,6 @@ from .measures import convolve_at
 from .schedules import Schedule
 
 
-def arithgeo_closed_form(r: Fraction, N: int) -> Fraction:
-    """sum_{j=0}^{N-1} j (1-r)^{j-1} = (1 - r N (1-r)^{N-1} - (1-r)^N) / r^2."""
-    r = Fraction(r)
-    if not 0 < r < 1:
-        raise ValueError("r must lie in (0,1)")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    q = 1 - r
-    return (1 - r * N * q ** (N - 1) - q**N) / r**2
-
-
 def finite_n_lower_bound(
     lamF: int, lamE: int, r_n: Fraction, r_np1: Fraction, N: int
 ) -> Fraction:
@@ -77,13 +66,6 @@ def lower_estimate_slacks(chain: Chain, n: int, dens: list[dict]) -> list[Fracti
     card_E = len(chain.level(n)[1])
     head, t = sched.head(n), sched.t(n)
     return [min(dens[j].values()) - head ** (j - 1) * t * j / card_E for j in range(1, sched.N(n))]
-
-
-def limit_profile(x: float) -> float:
-    """f(x) = (1 - e^{-x})/x - e^{-x}; positive for x > 0 (diagnostic only)."""
-    if x <= 0:
-        raise ValueError("x must be positive")
-    return (1 - math.exp(-x)) / x - math.exp(-x)
 
 
 def reference_constant() -> float:

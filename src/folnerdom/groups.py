@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 from math import comb, prod
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .errors import GroupMismatchError, SizeCapExceeded
 
@@ -124,7 +124,10 @@ class Group:
         raise NotImplementedError
 
     def decode(self, data: bytes):
-        el, pos = self._decode_at(data, 0)
+        try:
+            el, pos = self._decode_at(data, 0)
+        except IndexError:
+            raise ValueError("truncated element encoding") from None
         if pos != len(data):
             raise ValueError("trailing bytes in element encoding")
         return el
@@ -464,30 +467,3 @@ def word_ball(group: Group, radius: int, cap: int | None = None) -> frozenset:
     if not group.generators:
         raise ValueError("empty generating set")
     return group.ball(radius, cap)
-
-
-def generated_closure(
-    group: Group, seed: Iterable, max_size: int
-) -> Iterator[frozenset]:
-    """BFS closure of ``seed`` under group multiplication.
-
-    Yields the growing closure after each round; stops once stable or the
-    size budget is hit.  Used to confirm that a measure's support
-    generates the (finite quotient of the) group.
-    """
-    current = frozenset(seed) | {group.identity}
-    mul = group.mul
-    while True:
-        yield current
-        if len(current) > max_size:
-            return
-        grown = set(current)
-        for a in current:
-            for b in current:
-                grown.add(mul(a, b))
-                if len(grown) > max_size:
-                    break
-        grown_f = frozenset(grown)
-        if grown_f == current:
-            return
-        current = grown_f

@@ -74,9 +74,6 @@ class FinSupMeasure(Frozen):
         """dmu/dlambda at g (counting measure: mass equals density)."""
         return Fraction(self.numerators.get(g, 0), self.denominator)
 
-    def support(self) -> FiniteSubset:
-        return FiniteSubset(self.group, frozenset(self.numerators))
-
     def __len__(self) -> int:
         return len(self.numerators)
 
@@ -201,20 +198,3 @@ def convolve_at(mu: FinSupMeasure, nu: FinSupMeasure, points: Iterable) -> dict:
         for g in points:
             out[g] = Fraction(sum(v * get(mulop(g, ki), 0) for ki, v in terms), den)
     return out
-
-
-def mixed_absorption_value(
-    sets: Sequence[FiniteSubset], j: int, g
-) -> Fraction:
-    """Value at g of u_{K_1} * ... * chi_{K_j} * ... * u_{K_n}.
-
-    All factors are uniform probability measures except slot ``j`` (1-based)
-    which is the plain indicator; computed as |K_j| times the all-uniform
-    convolution, so it stays within total-mass-1 measures.
-    """
-    if not 1 <= j <= len(sets):
-        raise ValueError("slot out of range")
-    acc = FinSupMeasure.uniform(sets[0])
-    for K in sets[1:]:
-        acc = convolve(acc, FinSupMeasure.uniform(K))
-    return acc.mass(g) * len(sets[j - 1])

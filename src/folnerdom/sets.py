@@ -1,4 +1,4 @@
-"""Finite-subset algebra: products, interiors, Folner ratios.
+"""Finite-subset algebra: products, powers, interiors.
 
 All operations are pure; a FiniteSubset is an immutable wrapper around a
 frozenset of group elements together with the group that owns the law.
@@ -11,10 +11,8 @@ Set products and interiors run through the group's exact kernels,
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import SizeCapExceeded
 from .frozen import Frozen
 from .groups import Group, group_from_token, require_same_group
 
@@ -63,6 +61,8 @@ class FiniteSubset(Frozen):
     @classmethod
     def deserialize(cls, text: str) -> "FiniteSubset":
         lines = text.strip().splitlines()
+        if not lines:
+            raise ValueError("empty set listing: no header line")
         magic, token, card = lines[0].split()
         if magic != "folnerdom-set":
             raise ValueError("not a folnerdom set listing")
@@ -107,14 +107,6 @@ def envelope_pad(E_prev: FiniteSubset, N: int, cap: int | None = None) -> Finite
     return inverse_set(power(E_prev, N - 2, cap))
 
 
-def symmetrize(A: FiniteSubset) -> FiniteSubset:
-    """A U A^{-1} U {e}."""
-    return FiniteSubset(
-        A.group,
-        A.elements | inverse_set(A).elements | {A.group.identity},
-    )
-
-
 def is_symmetric_with_identity(A: FiniteSubset) -> bool:
     return A.group.identity in A.elements and inverse_set(A).elements == A.elements
 
@@ -138,35 +130,3 @@ def interior_bilateral(
     R = [y for y, count in right.items() if count == len(H2)]
     left = convolve(dict.fromkeys(inverse_set(H1).elements, 1), dict.fromkeys(R, 1))
     return FiniteSubset(K.group, frozenset(g for g in K.elements if left.get(g) == len(H1)))
-
-
-def folner_ratio(
-    K1: FiniteSubset, F: FiniteSubset, K2: FiniteSubset, cap: int | None = None
-) -> Fraction:
-    """|K1 F K2 \\ F| / |F| as an exact rational; 0 means exact bi-invariance."""
-    require_same_group(K1.group, F.group)
-    require_same_group(K2.group, F.group)
-    if len(F) == 0:
-        raise ValueError("F must be nonempty")
-    moved = product(product(K1, F, cap), K2, cap)
-    return Fraction(len(moved.elements - F.elements), len(F))
-
-
-def temperedness_constant(
-    prefix: list[FiniteSubset], cap: int | None = None
-) -> Fraction:
-    """max_n |U_{i<n} F_i^{-1} F_n| / |F_n| over the given prefix."""
-    if len(prefix) < 2:
-        raise ValueError("need at least two sets")
-    best = Fraction(0)
-    for n in range(1, len(prefix)):
-        Fn = prefix[n]
-        if len(Fn) == 0:
-            raise ValueError("empty Folner set in prefix")
-        union: set = set()
-        for Fi in prefix[:n]:
-            union |= product(inverse_set(Fi), Fn, cap).elements
-            if cap is not None and len(union) > cap:
-                raise SizeCapExceeded("temperedness union", len(union), cap)
-        best = max(best, Fraction(len(union), len(Fn)))
-    return best

@@ -27,24 +27,23 @@ from folnerdom.actions import (
 from folnerdom.chains import lamplighter_folner
 from folnerdom.cli import main
 from folnerdom.dominance import (
-    arithgeo_closed_form,
     dominance_report,
     level_densities,
     lower_estimate_slacks,
     reference_constant,
 )
 from folnerdom.groups import Lamplighter, Zd
-from folnerdom.measures import mixed_absorption_value
-from folnerdom.schedules import (
+from folnerdom.lemmas import (
+    arithgeo_closed_form,
     count_inverse_product,
-    fn_size,
-    ftilde_size,
+    folner_ratio,
     lamplighter_schedules,
+    mixed_absorption_value,
     tempered_prefix_constant,
 )
+from folnerdom.schedules import fn_size, ftilde_size
 from folnerdom.sets import (
     FiniteSubset,
-    folner_ratio,
     interior_bilateral,
     inverse_set,
     product,

@@ -15,11 +15,11 @@ from folnerdom.chains import (
     chain_manifest,
     check_chain_identities,
     lamplighter_folner,
-    support_generates,
 )
 from folnerdom.dominance import dominance_report
 from folnerdom.errors import SizeCapExceeded
 from folnerdom.groups import Lamplighter, Zd
+from folnerdom.lemmas import support_generates
 from folnerdom.measures import convolve
 from folnerdom.schedules import Schedule, fn_size, ftilde_size
 from folnerdom.sets import (

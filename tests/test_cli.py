@@ -85,12 +85,13 @@ def _keep(cfg):
     pass
 
 
-def _lamplighter(indices=(1, 2), convergence_indices=(2, 5)):
-    """Edit into a small lamplighter config with the given index lists."""
+def _lamplighter(indices=(1, 2), convergence_indices=(2, 5), modulus=3):
+    """Edit into a small lamplighter config with the given index lists and
+    quotient modulus."""
 
     def edit(cfg):
         cfg.update(group="lamplighter", folner={"kind": "lamplighter", "indices": list(indices)})
-        cfg["action"] = {"modulus": 3}
+        cfg["action"] = {"modulus": modulus}
         cfg["simulate"]["convergence_indices"] = list(convergence_indices)
 
     return edit
@@ -207,6 +208,21 @@ def _extract(radii, budget):
         ),
         pytest.param("dominate", _put("schema", True), (), id="schema-true"),
         pytest.param("dominate", _put("schema", 1.0), (), id="schema-1.0"),
+        # JSON true and false used to pass as the rationals 1 and 0
+        pytest.param("simulate", _set("simulate", tolerance=True), (), id="tolerance-true"),
+        pytest.param("simulate", _set("simulate", eps=True), (), id="eps-true"),
+        pytest.param(
+            "simulate",
+            _set("simulate", observable={"kind": "function", "values": [True, False, 1] + [0] * 5}),
+            (),
+            id="function-value-true",
+        ),
+        pytest.param(
+            "simulate",
+            _set("simulate", observable={"kind": "matrix", "rows": [[False] + [0] * 7] + [[0] * 8] * 7}),
+            (),
+            id="matrix-entry-false",
+        ),
     ],
 )
 def test_invalid_config_is_usage_error(z_config, tmp_path, capsys, cmd, edit, flags):
@@ -280,6 +296,11 @@ def test_shipped_configs_build_their_chains(name, tmp_path):
         pytest.param(
             "simulate", _lamplighter(convergence_indices=(2, 5, 8)), ("--cap", "1000"),
             "lamplighter F~_n: needs 4608 elements", id="simulate-lamplighter-1000",
+        ),
+        # the quotient has 14 * 2^14 states; it used to be built in full first
+        pytest.param(
+            "simulate", _lamplighter(modulus=14), ("--cap", "10"),
+            "quotient: needs 11 elements or more, cap is 10\n", id="simulate-quotient-10",
         ),
         # the pairwise set product stops at the first row past the cap, so
         # 304 is a lower bound: P^-1 F_2 has 360 elements
@@ -377,6 +398,24 @@ def test_custom_folner_sets_must_be_symmetric(z_config, tmp_path, capsys):
         run("dominate", config, out)
     assert exc.value.code == 2
     assert "error: config: folner set 2 must be symmetric" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "listing", ["", "folnerdom-set zd:1 1\n01\n"], ids=["empty-file", "truncated-element"]
+)
+def test_malformed_custom_folner_file_is_usage_error(z_config, tmp_path, capsys, listing):
+    # both used to end in an IndexError traceback with exit 1
+    path = tmp_path / "F.set"
+    path.write_text(listing)
+    cfg = json.loads(open(z_config).read())
+    cfg["folner"] = {"kind": "custom", "files": [str(path), str(path)]}
+    config = write_config(tmp_path / "custom.json", cfg)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run("dominate", config, out)
+    assert exc.value.code == 2
+    assert f"error: config: folner.files: {path}: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -515,13 +554,14 @@ def test_sweep(z_config, tmp_path, capsys):
 
 
 # Runs in a fresh ``python -S`` (no site, so no .pth file imports anything):
-# which modules a cold certify and a cold simulate load.
+# which modules the four cold subcommands without an action load, and
+# which a cold simulate loads.
 STARTUP_PROBE = """
 import json, sys
 from folnerdom import cli
-loaded = lambda: {m: m in sys.modules for m in ("dataclasses", "inspect", "folnerdom.actions")}
+loaded = lambda: {m: m in sys.modules for m in ("dataclasses", "inspect", "folnerdom.actions", "folnerdom.lemmas")}
 config, out = sys.argv[1:]
-codes = [cli.main([cmd, "--config", config, "--out", out]) for cmd in ("chain", "dominate")]
+codes = [cli.main([cmd, "--config", config, "--out", out]) for cmd in ("census", "chain", "dominate", "sweep")]
 after_certify = loaded()
 codes.append(cli.main(["simulate", "--config", config, "--out", out]))
 after_simulate = loaded()
@@ -542,8 +582,11 @@ def test_cold_certify_loads_no_dataclasses_and_no_actions(z_config, tmp_path):
         check=True,
     )
     codes, after_certify, after_simulate, exports = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [EXIT_PASS] * 3
-    assert after_certify == {"dataclasses": False, "inspect": False, "folnerdom.actions": False}
-    assert after_simulate["folnerdom.actions"]
-    assert not after_simulate["dataclasses"] and not after_simulate["inspect"]
+    assert codes == [EXIT_PASS] * 5
+    assert after_certify == {
+        "dataclasses": False, "inspect": False, "folnerdom.actions": False, "folnerdom.lemmas": False
+    }
+    assert after_simulate == {
+        "dataclasses": False, "inspect": False, "folnerdom.actions": True, "folnerdom.lemmas": False
+    }
     assert exports and all(name == found for name, found in exports.items())

@@ -11,17 +11,16 @@ from hypothesis import strategies as st
 from folnerdom import dominance
 from folnerdom.chains import Chain, build_omega
 from folnerdom.dominance import (
-    arithgeo_closed_form,
     dominance_report,
     finite_n_lower_bound,
     level_densities,
     limit_diagnostics,
-    limit_profile,
     lower_estimate_slacks,
     reference_constant,
     report_to_dict,
 )
 from folnerdom.groups import Heisenberg, word_ball
+from folnerdom.lemmas import arithgeo_closed_form, limit_profile
 from folnerdom.measures import convolve_at
 from folnerdom.schedules import Schedule
 from folnerdom.sets import FiniteSubset

@@ -55,6 +55,15 @@ def test_encoding_roundtrip_and_injectivity(group):
     inner()
 
 
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.token())
+def test_decode_rejects_truncated_bytes(group):
+    # used to raise IndexError
+    a = group.generators[0]
+    for data in (b"", group.encode(a)[:-1]):
+        with pytest.raises(ValueError, match="truncated element encoding"):
+            group.decode(data)
+
+
 def test_lamplighter_law_examples():
     L = Lamplighter()
     assert L.mul((1, frozenset({0})), (1, frozenset({0}))) == (2, frozenset({0, 1}))

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from folnerdom.chains import Chain, lamplighter_folner
 from folnerdom.dominance import level_densities
 from folnerdom.groups import Group, Heisenberg, Lamplighter, Zd, word_ball
+from folnerdom.lemmas import mixed_absorption_value
 from folnerdom.measures import (
     FinSupMeasure,
     convolve,
     convolve_at,
     mix,
-    mixed_absorption_value,
 )
 from folnerdom.schedules import Schedule
 from folnerdom.sets import (

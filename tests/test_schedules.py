@@ -9,19 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folnerdom.chains import lamplighter_folner
-from folnerdom.schedules import (
+from folnerdom.lemmas import (
     MATERIALIZE_BITS,
-    Schedule,
     SymbolicSize,
     count_inverse_product,
-    fn_size,
-    ftilde_size,
     lamplighter_schedules,
     poly_growth_overhead_bound,
     poly_growth_schedule,
     tempered_prefix_constant,
+    temperedness_constant,
 )
-from folnerdom.sets import inverse_set, product, temperedness_constant
+from folnerdom.schedules import Schedule, fn_size, ftilde_size
+from folnerdom.sets import inverse_set, product
 
 
 def test_schedule_invariants_standard():

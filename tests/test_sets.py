@@ -11,17 +11,15 @@ from hypothesis import strategies as st
 from folnerdom.chains import build_chain, lamplighter_folner
 from folnerdom.errors import SizeCapExceeded
 from folnerdom.groups import Heisenberg, Lamplighter, Zd, word_ball
+from folnerdom.lemmas import folner_ratio, temperedness_constant
 from folnerdom.schedules import Schedule
 from folnerdom.sets import (
     FiniteSubset,
-    folner_ratio,
     interior_bilateral,
     inverse_set,
     is_symmetric_with_identity,
     power,
     product,
-    symmetrize,
-    temperedness_constant,
 )
 from conftest import z_interval
 
@@ -55,19 +53,6 @@ def test_power_and_inverse():
     sq = product(f1, f1)
     assert power(f1, 2).elements == sq.elements
     assert len(sq) <= 196
-
-
-def test_symmetrize():
-    assert symmetrize(zset(1, 2)).elements == zset(-2, -1, 0, 1, 2).elements
-    sym = symmetrize(zset(1, 2))
-    assert symmetrize(sym).elements == sym.elements  # idempotent
-    L = Lamplighter()
-    single = FiniteSubset.singleton(L, (1, frozenset({0})))
-    assert symmetrize(single).elements == {
-        (1, frozenset({0})),
-        (-1, frozenset({-1})),
-        (0, frozenset()),
-    }
 
 
 def test_interior_examples():
