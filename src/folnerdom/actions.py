@@ -292,17 +292,6 @@ class FiniteAction:
             self._inverse_cache[qi] = cached
         return cached
 
-    def act(self, qi: int, x: Observable) -> Observable:
-        """alpha_q(x)(s) = x(q^{-1} s); matrices conjugated by the same
-        permutation."""
-        s = self._inverse_perm(qi)
-        if x.kind == "function":
-            return Observable("function", x.den, tuple(map(x.nums.__getitem__, s)))
-        return Observable("matrix", x.den, tuple(tuple(map(x.nums[si].__getitem__, s)) for si in s))
-
-    def act_element(self, g, x: Observable) -> Observable:
-        return self.act(self.state_of(g), x)
-
     # -- pushforwards and averages -------------------------------------
 
     def push_set(self, F: FiniteSubset) -> dict[int, Fraction]:
@@ -401,15 +390,11 @@ def ergodic_average(act: FiniteAction, Fn: FiniteSubset, x: Observable) -> Obser
     return act.apply_push(act.push_set(Fn), x)
 
 
-def markov_apply(act: FiniteAction, omega: FinSupMeasure, x: Observable) -> Observable:
-    """T(x) = sum_g omega(g) alpha_g(x); contractive when mass <= 1."""
-    return act.apply_push(act.push_measure(omega), x)
-
-
 def cesaro_mean(
     act: FiniteAction, omega: FinSupMeasure, N: int, x: Observable
 ) -> Observable:
-    """M_N(x) = (1/N) sum_{j<N} T^j(x), by iterating T on the quotient."""
+    """M_N(x) = (1/N) sum_{j<N} T^j(x), by iterating on the quotient the
+    operator T(x) = sum_g omega(g) alpha_g(x), contractive when mass <= 1."""
     if N < 1:
         raise ValueError("N must be >= 1")
     push = act.push_measure(omega)
@@ -449,27 +434,27 @@ def check_dominance(
 
 def convergence_diagnostics(
     act: FiniteAction,
-    pushes: Sequence[tuple[int, dict[int, Fraction]]],
+    averages: Sequence[tuple[int, Observable]],
     x: Observable,
 ) -> list[tuple[int, Fraction]]:
     """Per index n: the sup distance between A_n(x) and P(x), exact, from
-    the pushforward of uniform(F_n) (``push_set`` or ``push_ball``)."""
+    the averages [(n, A_n(x))]."""
     proj = invariant_projection(act, x)
-    return [(n, act.apply_push(push, x).sup_distance(proj)) for n, push in pushes]
+    return [(n, avg.sup_distance(proj)) for n, avg in averages]
 
 
 def weak11_probe(
     act: FiniteAction,
-    pushes: Sequence[tuple[int, dict[int, Fraction]]],
+    averages: Sequence[tuple[int, Observable]],
     x: Observable,
     eps: Fraction,
     c_emp: Fraction,
 ) -> tuple[frozenset, Fraction, Fraction, bool]:
     """Finite-space weak (1,1) probe for the maximal function.
 
-    e = {s : max_n A_n(x)(s) <= c_emp * eps}, A_n from the pushforwards
-    as in ``convergence_diagnostics``; returns (e, complement mass, the
-    bound (4 c_emp / eps) ||x||_1, and whether mass <= bound).
+    e = {s : max_n A_n(x)(s) <= c_emp * eps}, from the averages
+    [(n, A_n(x))] as in ``convergence_diagnostics``; returns (e, complement
+    mass, the bound (4 c_emp / eps) ||x||_1, and whether mass <= bound).
     """
     if x.kind != "function":
         raise ValueError("weak (1,1) probe is for function observables")
@@ -482,8 +467,7 @@ def weak11_probe(
     # A_n(x)(s) <= t is nums[s] * t.denominator <= t.numerator * den
     t = c_emp * eps
     good = set(range(act.size)) if t >= 0 else set()
-    for _, push in pushes:
-        avg = act.apply_push(push, x)
+    for _, avg in averages:
         top = t.numerator * avg.den
         good = {s for s in good if avg.nums[s] * t.denominator <= top}
     good = frozenset(good)
@@ -496,6 +480,5 @@ def kadison_check(
     act: FiniteAction, push: dict[int, Fraction], x: Observable
 ) -> tuple[bool, Fraction]:
     """A_n(x)*A_n(x) <= A_n(x*x) in PSD order (A_n is unital positive),
-    A_n from the pushforward of uniform(F_n) as in
-    ``convergence_diagnostics``."""
+    A_n from the pushforward ``push`` of uniform(F_n)."""
     return psd_order_holds(act.apply_push(push, x).square(), act.apply_push(push, x.square()))

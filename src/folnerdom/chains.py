@@ -14,7 +14,8 @@ envelope it built while choosing each one.
 ``Chain.powers`` is the walk omega^(0) = delta_e, omega^(1), ..., the one
 place where powers of omega are convolved.  Every level report reads a
 prefix of it (``dominance.level_densities``), so each power is built once
-per (chain, cap).
+per chain.  The chain keeps the cap it was built with, and its walk
+truncates under that cap.
 """
 
 from __future__ import annotations
@@ -76,11 +77,11 @@ def lamplighter_folner(n: int, cap: int | None = None) -> tuple[FiniteSubset, Fi
 
 class Chain(Frozen):
     """A built chain: Folner sets F_1 .. F_K, envelopes E_1 .. E_K,
-    schedule, and omega.  ``_walks`` (the powers of omega per cap) is not
-    compared."""
+    schedule, omega, and the size cap it was built with.  ``_walk`` (the
+    powers of omega built so far) is not compared."""
 
-    __slots__ = ("group", "folner", "envelopes", "schedule", "omega", "_walks")
-    _fields = __slots__[:5]
+    __slots__ = ("group", "folner", "envelopes", "schedule", "omega", "cap", "_walk")
+    _fields = __slots__[:6]
 
     def __init__(
         self,
@@ -89,8 +90,9 @@ class Chain(Frozen):
         envelopes: list[FiniteSubset],
         schedule: Schedule,
         omega: FinSupMeasure,
+        cap: int | None = None,
     ):
-        self._init(group, folner, envelopes, schedule, omega, {})
+        self._init(group, folner, envelopes, schedule, omega, cap, [FinSupMeasure.delta(group)])
 
     @property
     def depth(self) -> int:
@@ -101,18 +103,19 @@ class Chain(Frozen):
             raise ValueError(f"level {n} outside chain depth {self.depth}")
         return self.folner[n - 1], self.envelopes[n - 1]
 
-    def powers(self, J: int, cap: int | None = None) -> list[FinSupMeasure]:
+    def powers(self, J: int) -> list[FinSupMeasure]:
         """[omega^(0), ..., omega^(J)] with omega^(0) = delta_e.
 
-        Each power is convolve(previous, omega, cap), so a cap truncates at
-        every step and taints every later power.  The walk is kept per cap
-        and extended on demand: a longer call reuses the shorter prefix.
+        Each power is convolve(previous, omega, self.cap), so a cap
+        truncates at every step and taints every later power.  The walk is
+        kept per chain and extended on demand: a longer call reuses the
+        shorter prefix.
         """
         if J < 0:
             raise ValueError("J must be >= 0")
-        walk = self._walks.setdefault(cap, [FinSupMeasure.delta(self.group)])
+        walk = self._walk
         while len(walk) <= J:
-            walk.append(convolve(walk[-1], self.omega, cap))
+            walk.append(convolve(walk[-1], self.omega, self.cap))
         return walk[: J + 1]
 
 
@@ -175,10 +178,10 @@ def build_chain(
             raise SizeCapExceeded(what, tried + 1, tried, "candidates")
         folner.append(Fn)
         E.append(En)
-    return Chain(folner[0].group, folner, E, sched, build_omega(E, sched))
+    return Chain(folner[0].group, folner, E, sched, build_omega(E, sched), cap)
 
 
-def check_chain_identities(chain: Chain, cap: int | None = None) -> list[str]:
+def check_chain_identities(chain: Chain) -> list[str]:
     """The structural chain identities that fail, one message each; [] when
     all of them hold.
 
@@ -187,7 +190,7 @@ def check_chain_identities(chain: Chain, cap: int | None = None) -> list[str]:
     -- the containment that makes every g in F_n absorb the padded
     convolutions.  (Equality with the interior holds for interval chains
     on Z but not in general: the level-2 lamplighter interior is strictly
-    larger than F_2.)
+    larger than F_2.)  The pads are rebuilt under the chain's cap.
     """
     failures = []
     for n in range(1, chain.depth + 1):
@@ -199,7 +202,7 @@ def check_chain_identities(chain: Chain, cap: int | None = None) -> list[str]:
         if n < chain.depth and not En.issubset(chain.envelopes[n]):
             failures.append(f"E_{n} not inside E_{n+1}")
         if n >= 2:
-            pad = envelope_pad(chain.envelopes[n - 2], chain.schedule.N(n), cap)
+            pad = envelope_pad(chain.envelopes[n - 2], chain.schedule.N(n), chain.cap)
             if not Fn.issubset(interior_bilateral(pad, pad, En)):
                 failures.append(f"interior containment fails at level {n}")
     return failures

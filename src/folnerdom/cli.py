@@ -220,9 +220,9 @@ def _simulate_params(sim: dict, group: Group) -> tuple[list, Fraction, Fraction,
     return conv_ns, tol, eps, trials, dim
 
 
-def certify_levels(chain: Chain, cap: int | None) -> tuple[list[DominanceReport], int]:
+def certify_levels(chain: Chain) -> tuple[list[DominanceReport], int]:
     """The certificates of levels 2..depth and the worst exit code among them."""
-    reports = [dominance_report(chain, n, cap) for n in range(2, chain.depth + 1)]
+    reports = [dominance_report(chain, n) for n in range(2, chain.depth + 1)]
     worst = EXIT_PASS if all(rep.verdict == "pass" for rep in reports) else EXIT_FAIL
     return reports, worst
 
@@ -272,8 +272,8 @@ def cmd_dominate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
     """Per-level dominance certificates and the chain identities; nonzero
     exit if any level or identity fails."""
     chain = _build_chain(cfg, cap, depth)
-    reports, worst = certify_levels(chain, cap)
-    for message in check_chain_identities(chain, cap):
+    reports, worst = certify_levels(chain)
+    for message in check_chain_identities(chain):
         print(f"identity: {message}", file=sys.stderr)
         worst = EXIT_FAIL
     csv = ["n,card_F,card_E,N,min_scaled,bound,c_emp,verdict,taint"]
@@ -326,13 +326,14 @@ def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
         else:
             pushes.append((n, act.push_ball(n, cap)))
     chain = _build_chain(cfg, cap, depth)
-    rep = dominance_report(chain, chain.depth, cap)
+    rep = dominance_report(chain, chain.depth)
     if rep.c_emp is None or rep.verdict != "pass":
         print("dominance certificate failed; cannot transfer", file=sys.stderr)
         return EXIT_FAIL
 
     rows = ["check,n,value_num,value_den,ok"]
-    diag = convergence_diagnostics(act, pushes, x)
+    averages = [(n, act.apply_push(push, x)) for n, push in pushes]
+    diag = convergence_diagnostics(act, averages, x)
     final_ok = diag[-1][1] <= tol
     failures += 0 if final_ok else 1
     for n, d in diag:
@@ -343,7 +344,7 @@ def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
     rows.append(f"dominance_transfer,{chain.depth},{slack.numerator},{slack.denominator},{str(ok).lower()}")
 
     if x.kind == "function":
-        _, mass, bound, wok = weak11_probe(act, pushes, x, eps, rep.c_emp)
+        _, mass, bound, wok = weak11_probe(act, averages, x, eps, rep.c_emp)
         failures += 0 if wok else 1
         rows.append(f"weak11_mass,0,{mass.numerator},{mass.denominator},{str(wok).lower()}")
 
@@ -371,7 +372,7 @@ def cmd_sweep(cfg: dict, out: str, cap: int | None, depth: int | None, seed: int
         local = dict(cfg)
         local["schedule"] = dict(_section(cfg, "schedule"), tail_base=c)
         chain = _build_chain(local, cap, depth)
-        reports, code = certify_levels(chain, cap)
+        reports, code = certify_levels(chain)
         worst = max(worst, code)
         for rep in reports:
             rows.append(

@@ -40,7 +40,7 @@ def finite_n_lower_bound(
     return Fraction(lamF, lamE) * (1 - r_np1 / r_n) * bracket
 
 
-def level_densities(chain: Chain, n: int, cap: int | None = None) -> tuple[list[dict], bool]:
+def level_densities(chain: Chain, n: int) -> tuple[list[dict], bool]:
     """([element -> d omega^(j)/d lambda on F_n, for j = 0 .. N(n)-1], tainted).
 
     The one reader of omega's powers on F_n: omega^(0) .. omega^(N-2) come
@@ -49,7 +49,7 @@ def level_densities(chain: Chain, n: int, cap: int | None = None) -> tuple[list[
     made every value a certified lower bound.
     """
     Fn = chain.level(n)[0]
-    walk = chain.powers(chain.schedule.N(n) - 2, cap)
+    walk = chain.powers(chain.schedule.N(n) - 2)
     dens = [{g: p.mass(g) for g in Fn} for p in walk]
     dens.append(convolve_at(walk[-1], chain.omega, Fn.elements))
     return dens, chain.omega.truncated or any(p.truncated for p in walk)
@@ -112,7 +112,7 @@ class DominanceReport(NamedTuple):
         return self.min_scaled * Fraction(self.card_E, self.card_F)
 
 
-def dominance_report(chain: Chain, n: int, cap: int | None = None) -> DominanceReport:
+def dominance_report(chain: Chain, n: int) -> DominanceReport:
     """Assemble the level-n certificate; a failing level is a valid report.
     It passes when min_scaled >= bound > 0 and every lower slack is >= 0."""
     sched = chain.schedule
@@ -120,7 +120,7 @@ def dominance_report(chain: Chain, n: int, cap: int | None = None) -> DominanceR
         raise ValueError("chain shallower than requested level")
     Fn, En = chain.level(n)
     N = sched.N(n)
-    dens, tainted = level_densities(chain, n, cap)
+    dens, tainted = level_densities(chain, n)
     min_scaled = min(sum(d[g] for d in dens) for g in Fn) * len(Fn) / N
     bound = finite_n_lower_bound(len(Fn), len(En), sched.r(n), sched.r(n + 1), N)
     lower_slacks = tuple(lower_estimate_slacks(chain, n, dens))

@@ -262,6 +262,11 @@ def test_criterion_08_dominance_transfer(z_chain3, z_reports, ll_chain, ll_repor
     )
 
 
+def _averages(act, pushes, x):
+    """[(n, A_n(x))] from the pushforwards [(n, push)]."""
+    return [(n, act.apply_push(push, x)) for n, push in pushes]
+
+
 def test_criterion_09_convergence_and_weak11(z_reports, ll_report):
     rng = random.Random(99)
     tol = Fraction(1, 1000)
@@ -270,20 +275,21 @@ def test_criterion_09_convergence_and_weak11(z_reports, ll_report):
     z_folner = [(r, act_z.push_set(z_interval(r))) for r in (8, 64, 512, 4096)]
     battery_z = _function_battery(rng, act_z.size, 20)
     for x in battery_z:
-        rows = convergence_diagnostics(act_z, z_folner, x)
+        rows = convergence_diagnostics(act_z, _averages(act_z, z_folner, x), x)
         if rows[-1][1] > tol:
             bad += 1
     act_ll = FiniteAction(L, *L.quotient(3))
     ll_folner = [(n, act_ll.push_set(lamplighter_folner(n)[0])) for n in (2, 5, 8)]
     battery_ll = _function_battery(rng, act_ll.size, 20)
     for x in battery_ll:
-        rows = convergence_diagnostics(act_ll, ll_folner, x)
+        rows = convergence_diagnostics(act_ll, _averages(act_ll, ll_folner, x), x)
         if rows[-1][1] > tol:  # m = 3 divides 8 + 1: exactly 0
             bad += 1
     weak_bad = 0
     for x in battery_z[:10]:
+        averages = _averages(act_z, z_folner, x)
         for eps in (Fraction(1, 8), Fraction(1, 2)):
-            _, mass, bound, wok = weak11_probe(act_z, z_folner, x, eps, z_reports[2].c_emp)
+            _, mass, bound, wok = weak11_probe(act_z, averages, x, eps, z_reports[2].c_emp)
             if not wok or mass > bound:
                 weak_bad += 1
     verdict(

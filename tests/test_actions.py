@@ -19,7 +19,6 @@ from folnerdom.actions import (
     ergodic_average,
     invariant_projection,
     kadison_check,
-    markov_apply,
     psd_check,
     psd_order_holds,
     weak11_probe,
@@ -80,10 +79,11 @@ def test_markov_apply_examples():
     act = zd_mod_action(1, 4)
     x = Observable.function([1, 0, 0, 0])
     delta1 = FinSupMeasure.uniform(zset(1))
-    shifted = markov_apply(act, delta1, x)
+    # T(x) = sum_g omega(g) alpha_g(x)
+    shifted = act.apply_push(act.push_measure(delta1), x)
     assert shifted.data == (0, 1, 0, 0)
     unif = FinSupMeasure.uniform(zset(0, 1, 2, 3))
-    assert markov_apply(act, unif, x).data == (Fraction(1, 4),) * 4
+    assert act.apply_push(act.push_measure(unif), x).data == (Fraction(1, 4),) * 4
 
 
 def _random_zd2(rng):
@@ -114,12 +114,14 @@ def test_action_is_homomorphism(make, element):
     G = act.group
     x = Observable.function([Fraction(k, act.size) for k in range(act.size)])
     rng = random.Random(5)
+
+    def alpha(g, y):
+        return act.apply_push({act.state_of(g): 1}, y)
+
     for _ in range(25):
         g, h = element(rng), element(rng)
-        lhs = act.act_element(G.mul(g, h), x)
-        rhs = act.act_element(g, act.act_element(h, x))
-        assert lhs.data == rhs.data
-        assert act.act_element(G.inv(g), act.act_element(g, x)).data == x.data
+        assert alpha(G.mul(g, h), x).data == alpha(g, alpha(h, x)).data
+        assert alpha(G.inv(g), alpha(g, x)).data == x.data
 
 
 QUOTIENTS = [FiniteAction(G, *G.quotient(m)) for G, m in ((Zd(2), 3), (H, 2), (L, 2))]
@@ -250,8 +252,9 @@ def test_cesaro_mean_reduces_to_average_of_iterates():
     omega = FinSupMeasure.uniform(zset(-1, 0, 1))
     x = Observable.function([1, 0, 0, 0, 0])
     m3 = cesaro_mean(act, omega, 3, x)
-    t1 = markov_apply(act, omega, x)
-    t2 = markov_apply(act, omega, t1)
+    push = act.push_measure(omega)
+    t1 = act.apply_push(push, x)
+    t2 = act.apply_push(push, t1)
     expect = x.add(t1).add(t2).scale(Fraction(1, 3))
     assert m3.data == expect.data
 
@@ -405,7 +408,7 @@ def test_push_ball_matches_push_set(act):
 def test_convergence_table_z_mod8():
     act = zd_mod_action(1, 8)
     x = Observable.function([1, 0, 0, 0, 0, 0, 0, 0])
-    pairs = [(r, act.push_set(z_interval(r))) for r in (8, 64, 512)]
+    pairs = [(r, ergodic_average(act, z_interval(r), x)) for r in (8, 64, 512)]
     rows = convergence_diagnostics(act, pairs, x)
     devs = [d for _, d in rows]
     assert devs[0] > devs[1] > devs[2]
@@ -417,7 +420,7 @@ def test_convergence_exact_zero_when_period_divides():
     act = zd_mod_action(1, 5)
     x = Observable.function([2, 0, 1, 0, 0])
     # [-7, 7] covers each residue class mod 5 exactly 3 times
-    rows = convergence_diagnostics(act, [(7, act.push_set(z_interval(7)))], x)
+    rows = convergence_diagnostics(act, [(7, ergodic_average(act, z_interval(7), x))], x)
     assert rows[0][1] == 0
 
 
@@ -428,18 +431,22 @@ def test_convergence_lamplighter_exact_zero():
     push = act.push_set(ft)
     assert set(push.values()) == {Fraction(1, act.size)}
     x = Observable.indicator(act.size, [0])
-    rows = convergence_diagnostics(act, [(5, push)], x)
+    rows = convergence_diagnostics(act, [(5, act.apply_push(push, x))], x)
     assert rows[0][1] == 0
 
 
 def test_weak11_probe_scaling():
     act = zd_mod_action(1, 8)
     x = Observable.function([1, 0, 0, 0, 0, 0, 0, 0])
-    folner = [(r, act.push_set(z_interval(r))) for r in (1, 2, 4)]
+    pushes = [(r, act.push_set(z_interval(r))) for r in (1, 2, 4)]
     c = Fraction(9)
-    g1, m1, b1, ok1 = weak11_probe(act, folner, x, Fraction(1, 2), c)
+
+    def probe(y):
+        return weak11_probe(act, [(r, act.apply_push(p, y)) for r, p in pushes], y, Fraction(1, 2), c)
+
+    g1, m1, b1, ok1 = probe(x)
     assert ok1
-    g2, m2, b2, ok2 = weak11_probe(act, folner, x.scale(2), Fraction(1, 2), c)
+    g2, m2, b2, ok2 = probe(x.scale(2))
     assert ok2 and b2 == 2 * b1  # bound scales with ||x||_1
 
 

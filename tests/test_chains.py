@@ -206,12 +206,12 @@ def test_powers_walk_once_across_levels(monkeypatch):
 
 
 def test_capped_and_exact_walks_stay_apart():
-    chain = build_chain([z_interval(1), z_interval(2)], Schedule(depth=2))
-    capped = chain.powers(3, cap=20)
-    exact = chain.powers(3)
+    sets, sched = [z_interval(1), z_interval(2)], Schedule(depth=2)
+    capped = build_chain(sets, sched, cap=20).powers(3)
+    exact = build_chain(sets, sched).powers(3)
     assert [p.truncated for p in capped] == [False, False, True, True]
+    assert [len(p) for p in capped] == [1, 13, 20, 20]
     assert not any(p.truncated for p in exact)
     assert [len(p) for p in exact] == [1, 13, 25, 37]
-    assert chain.powers(3, cap=20)[3] is capped[3] and chain.powers(3)[3] is exact[3]
     for lo, hi in zip(capped, exact):
         assert all(m <= hi.mass(g) for g, m in lo.items())

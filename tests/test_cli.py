@@ -455,13 +455,29 @@ def test_dominate_deterministic(z_config, tmp_path, capsys):
 
 
 def test_dominate_fails_on_a_broken_identity(z_config, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("folnerdom.cli.check_chain_identities", lambda chain, cap: ["F_2 not inside E_2"])
+    monkeypatch.setattr("folnerdom.cli.check_chain_identities", lambda chain: ["F_2 not inside E_2"])
     out = tmp_path / "out"
     assert run("dominate", z_config, out) == EXIT_FAIL
     assert capsys.readouterr().err == "identity: F_2 not inside E_2\n"
     # the level certificates are still written, as for a failing level
     assert {p.name for p in out.iterdir()} == {"dominance.json", "dominance.csv"}
     assert json.loads((out / "dominance.json").read_text())["levels"][0]["verdict"] == "pass"
+
+
+def test_dominate_truncates_only_the_walk_under_its_cap(z_config, tmp_path):
+    # |E_2| = 49 fits under both caps; omega^(2) has 97 atoms, so a cap of
+    # 60 truncates the walk: the level stays a pass, as a certified lower
+    # bound, and is marked tainted
+    assert run("dominate", z_config, tmp_path / "c60", "--cap", "60") == EXIT_PASS
+    row = (tmp_path / "c60" / "dominance.csv").read_text().splitlines()[1]
+    assert row == "2,33,49,4,4065765/30118144,363/3136,30118144/4065765,pass,true"
+    assert json.loads((tmp_path / "c60" / "dominance.json").read_text())["levels"][0]["tainted"]
+    # a cap the walk fits under changes nothing
+    assert run("dominate", z_config, tmp_path / "c97", "--cap", "97") == EXIT_PASS
+    assert run("dominate", z_config, tmp_path / "exact") == EXIT_PASS
+    exact = (tmp_path / "exact" / "dominance.json").read_bytes()
+    assert (tmp_path / "c97" / "dominance.json").read_bytes() == exact
+    assert json.loads(exact)["levels"][0]["tainted"] is False
 
 
 def test_dominate_reads_the_top_power_once_per_level(tmp_path, monkeypatch):

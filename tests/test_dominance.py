@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folnerdom import dominance
-from folnerdom.chains import Chain, build_omega
+from folnerdom.chains import Chain, build_chain, build_omega
 from folnerdom.dominance import (
     dominance_report,
     finite_n_lower_bound,
@@ -24,6 +24,8 @@ from folnerdom.lemmas import arithgeo_closed_form, limit_profile
 from folnerdom.measures import convolve_at
 from folnerdom.schedules import Schedule
 from folnerdom.sets import FiniteSubset
+
+from conftest import z_interval
 
 
 @settings(max_examples=200, deadline=None)
@@ -174,10 +176,13 @@ def test_failed_lower_estimate_fails_the_level(z_chain2, monkeypatch):
 
 def test_min_scaled_cap_is_sound(z_chain2):
     exact = dominance_report(z_chain2, 2)
-    capped = dominance_report(z_chain2, 2, cap=40)
+    # the sets have at most 49 elements, omega^(2) has 97 atoms
+    chain = build_chain([z_interval(2), z_interval(16)], Schedule(depth=2), cap=60)
+    capped = dominance_report(chain, 2)
     assert not exact.tainted and capped.tainted
     # capping only ever lowers the certified value
-    assert capped.min_scaled <= exact.min_scaled
+    assert capped.min_scaled == Fraction(4065765, 30118144) <= exact.min_scaled
+    assert exact.min_scaled == Fraction(4070847, 30118144)
 
 
 def test_report_dict_shape(z_reports):

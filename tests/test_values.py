@@ -21,8 +21,8 @@ from conftest import z_interval
 Z = Zd(1)
 
 
-def _chain():
-    return build_chain([z_interval(1), z_interval(2)], Schedule(depth=2))
+def _chain(cap=None):
+    return build_chain([z_interval(1), z_interval(2)], Schedule(depth=2), cap=cap)
 
 
 # class name -> a function that builds the same value afresh on each call
@@ -73,7 +73,9 @@ def test_equal_fields_are_the_compared_values():
 def test_chain_equality_ignores_its_walk():
     a, b = _chain(), _chain()
     a.powers(3)
-    assert a == b and "_walks" not in repr(a)
+    assert a == b and "_walk" not in repr(a)
+    # the cap is compared: it decides the walk
+    assert a != _chain(cap=20) and "cap=None" in repr(a)
 
 
 @pytest.mark.parametrize(
