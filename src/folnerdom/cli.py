@@ -220,6 +220,17 @@ def _simulate_params(sim: dict, group: Group) -> tuple[list, Fraction, Fraction,
     return conv_ns, tol, eps, trials, dim
 
 
+def _cap_flag(text: str) -> int:
+    """The argparse type of ``--cap``: an integer >= 0."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {cap}")
+    return cap
+
+
 def certify_levels(chain: Chain) -> tuple[list[DominanceReport], int]:
     """The certificates of levels 2..depth and the worst exit code among them."""
     reports = [dominance_report(chain, n) for n in range(2, chain.depth + 1)]
@@ -312,6 +323,8 @@ def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
     sim = _section(cfg, "simulate")
     act = _action_from(cfg, cap)
     conv_ns, tol, eps, trials, dim = _simulate_params(sim, act.group)
+    if cap is not None and dim > cap:
+        raise SizeCapExceeded("kadison quotient", dim, cap)
     x = _observable_from(_section(sim, "observable", "simulate.observable"), act)
     if x.size != act.size:
         raise ConfigError(f"observable has {x.size} states, the action has {act.size}")
@@ -396,7 +409,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("command", choices=["census", "chain", "dominate", "simulate", "sweep"])
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--cap", type=int, default=None, help="set/support size cap")
+    parser.add_argument("--cap", type=_cap_flag, default=None, help="set/support size cap")
     parser.add_argument("--depth", type=int, default=None, help="override chain depth")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized batteries")
     args = parser.parse_args(argv)

@@ -13,15 +13,18 @@ varints; lamp sets length-prefixed and sorted ascending) which is
 injective and is used as the serialization key and the deterministic
 tie-break order everywhere downstream.
 
-Each group owns the exact kernels behind every product of measures and of
-sets: ``convolve(a, b)``, the raw numerators of a * b for element -> int
-dicts, and ``product(A, B, cap)``, the set product, which raises
+Each group owns the three exact kernels behind every product of measures
+and of sets: ``convolve(a, b)``, the raw numerators of a * b for element ->
+int dicts; ``convolve_at(a, b, points)``, the same at the given points
+only; and ``product(A, B, cap)``, the set product, which raises
 SizeCapExceeded("set product", ...) when it has more than ``cap`` elements.
-The base class runs the group law once per pair; Heisenberg and the
-lamplighter use it, and it is the oracle faster kernels are tested
-against.  ``Zd`` overrides both with Kronecker substitution (Schoenhage
-1982; Harvey, J. Symb. Comput. 2009); its set product is the support of
-1_A * 1_B.
+``convolve_at`` loops over its second operand, where the walk passes
+omega, which has no more atoms than its powers, capped or not.  The base
+class runs the group law once per pair; Heisenberg and the lamplighter
+use it, and it is the oracle faster kernels are tested against.  ``Zd``
+overrides ``convolve`` and ``product`` with Kronecker substitution
+(Schoenhage 1982; Harvey, J. Symb. Comput. 2009); its set product is the
+support of 1_A * 1_B.
 
 ``word_ball(group, r, cap)`` is the entry point for word balls and calls
 ``group.ball``.  The base class builds the ball by breadth-first closure
@@ -186,6 +189,14 @@ class Group:
                 k = mul(x, y)
                 out[k] = get(k, 0) + va * vb
         return out
+
+    def convolve_at(self, a: dict, b: dict, points: Iterable) -> dict:
+        """Raw numerators of a * b at ``points`` only, 0 included, as
+        (a * b)(g) = sum_k a(g k^-1) b(k).  Loops over ``b`` and inverts each
+        of its elements once, so callers pass the smaller operand second."""
+        mul, get = self.mul, a.get
+        terms = [(self.inv(k), v) for k, v in b.items()]
+        return {g: sum(v * get(mul(g, ki), 0) for ki, v in terms) for g in points}
 
     def product(self, A: Iterable, B: Iterable, cap: int | None) -> frozenset:
         """{ab : a in A, b in B} by the group law; the cap is checked after

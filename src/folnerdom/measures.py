@@ -7,13 +7,13 @@ are exposed as Fractions.  Support capping drops the smallest atoms
 pointwise lower bound -- dropped mass can only weaken a ">=" certificate,
 never fake one.
 
-``convolve`` is the one place where measures are convolved.  It takes the
-raw numerators from the group's exact kernel, ``group.convolve`` (see
-``groups``), then applies the cap and reduces the fraction the same way
-whichever kernel ran.  The powers of omega are walked once per chain, by
+Both convolutions take raw numerators from the group's exact kernels (see
+``groups``), so no group law runs here: ``convolve`` from
+``group.convolve``, then applies the cap and reduces the fraction the same
+way whichever kernel ran; ``convolve_at``, at chosen points only, from
+``group.convolve_at``.  The powers of omega are walked once per chain, by
 ``Chain.powers`` (see ``chains``), and read on F_n by
-``dominance.level_densities``; ``convolve_at`` gives a convolution at
-chosen points only.
+``dominance.level_densities``.
 """
 
 from __future__ import annotations
@@ -178,23 +178,9 @@ def convolve(
 
 
 def convolve_at(mu: FinSupMeasure, nu: FinSupMeasure, points: Iterable) -> dict:
-    """Densities of mu * nu at the given points only (element -> Fraction).
-
-    Loops over the smaller operand and inverts each of its elements once:
-    (mu * nu)(g) = sum_h mu(h) nu(h^{-1} g) = sum_k mu(g k^{-1}) nu(k).
-    """
+    """Densities of mu * nu at the given points only (element -> Fraction),
+    from the group's kernel ``group.convolve_at``, which loops over nu."""
     require_same_group(mu.group, nu.group)
-    mulop, inv = mu.group.mul, mu.group.inv
     den = mu.denominator * nu.denominator
-    out = {}
-    if len(mu) <= len(nu):
-        terms = [(inv(h), v) for h, v in mu.numerators.items()]
-        get = nu.numerators.get
-        for g in points:
-            out[g] = Fraction(sum(v * get(mulop(hi, g), 0) for hi, v in terms), den)
-    else:
-        terms = [(inv(k), v) for k, v in nu.numerators.items()]
-        get = mu.numerators.get
-        for g in points:
-            out[g] = Fraction(sum(v * get(mulop(g, ki), 0) for ki, v in terms), den)
-    return out
+    out = mu.group.convolve_at(mu.numerators, nu.numerators, points)
+    return {g: Fraction(n, den) for g, n in out.items()}

@@ -239,6 +239,17 @@ def test_invalid_config_is_usage_error(z_config, tmp_path, capsys, cmd, edit, fl
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd", ["census", "chain", "dominate", "simulate", "sweep"])
+def test_negative_cap_is_usage_error(z_config, tmp_path, capsys, cmd):
+    # --cap -2 used to end in a traceback, and --cap -1 in exit 3
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(cmd, z_config, out, "--cap", "-1")
+    assert exc.value.code == 2
+    assert "error: argument --cap: must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_value_error_in_computation_is_not_a_config_error(z_config, tmp_path, monkeypatch):
     def broken(*args):
         raise ValueError("inside the computation")
@@ -292,6 +303,12 @@ def test_shipped_configs_build_their_chains(name, tmp_path):
         pytest.param("sweep", _keep, ("--cap", "40"), "E_2", id="sweep-40"),
         # simulate hits the cap in its convergence balls, before the certificate
         pytest.param("simulate", _keep, ("--cap", "100"), "word_ball", id="simulate-100"),
+        # the Kadison battery's Z/61 is over the cap; |E_2| = 49 and the
+        # convergence balls (3, 9 and 33 elements) fit under it
+        pytest.param(
+            "simulate", _set("simulate", convergence_radii=[1, 4, 16], kadison_dim=61), ("--cap", "60"),
+            "kadison quotient: needs 61 elements, cap is 60\n", id="simulate-kadison-60",
+        ),
         # simulate needs only F~_n: F~_5 (384 elements) fits, F~_8 does not
         pytest.param(
             "simulate", _lamplighter(convergence_indices=(2, 5, 8)), ("--cap", "1000"),

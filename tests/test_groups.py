@@ -207,6 +207,24 @@ def test_zd_product_matches_pairwise_product(d, data):
             assert G.product(A, B, cap) == Group.product(G, A, B, cap) == ref
 
 
+@pytest.mark.parametrize(
+    "group", [Zd(1), Zd(2), Zd(3), Heisenberg(), Lamplighter()], ids=lambda g: g.token()
+)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_convolve_at_matches_pairwise_convolve(group, data):
+    """The base-class kernels, called explicitly so that no override hides
+    them: ``convolve_at`` reads the pairwise ``convolve`` at the points,
+    inside its support and outside it, with 0 there, repeated or none."""
+    support = st.dictionaries(element_strategy(group), st.integers(1, 2**70), max_size=12)
+    a, b = data.draw(support, label="a"), data.draw(support, label="b")
+    full = Group.convolve(group, a, b)
+    inside = [st.sampled_from(list(full))] if full else []
+    points = data.draw(st.lists(st.one_of(element_strategy(group), *inside), max_size=12), label="points")
+    points += points[: data.draw(st.integers(0, len(points)), label="repeats")]
+    assert Group.convolve_at(group, a, b, points) == {g: full.get(g, 0) for g in points}
+
+
 def test_cardinality_biinvariance():
     L = Lamplighter()
     A = [(0, frozenset()), (1, frozenset({0})), (-2, frozenset({1, 3}))]
