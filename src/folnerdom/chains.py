@@ -1,4 +1,4 @@
-"""Envelope chains: the E_n recursion, the measure omega, its walk, and manifests.
+"""Envelope chains: the E_n recursion, the measure omega and its walk.
 
 A chain bundles the Folner subsequence F_n, the envelopes
 
@@ -20,7 +20,6 @@ truncates under that cap.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -207,36 +206,3 @@ def check_chain_identities(chain: Chain) -> list[str]:
                 failures.append(f"interior containment fails at level {n}")
     return failures
 
-
-def _rat(q: Fraction) -> dict:
-    """JSON form of a rational: numerator and denominator as strings."""
-    return {"num": str(q.numerator), "den": str(q.denominator)}
-
-
-def chain_manifest(chain: Chain, set_files: dict[str, str] | None = None) -> str:
-    """JSON manifest: per level |F_n|, |E_n|, N(n), t_n, r_n, plus file refs."""
-    sched = chain.schedule
-    levels = []
-    for n in range(1, chain.depth + 1):
-        Fn, En = chain.level(n)
-        levels.append(
-            {
-                "n": n,
-                "card_F": len(Fn),
-                "card_E": len(En),
-                "N": sched.N(n),
-                "t": _rat(sched.t(n)),
-                "r": _rat(sched.r(n)),
-            }
-        )
-    doc = {
-        "schema": 1,
-        "group": chain.group.token(),
-        "depth": chain.depth,
-        "tail_base": sched.tail_base,
-        "length_base": sched.length_base,
-        "omega_total_mass": _rat(chain.omega.total_mass),
-        "levels": levels,
-        "set_files": set_files or {},
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

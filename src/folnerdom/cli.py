@@ -10,17 +10,21 @@ and a ``budget:`` line on stderr, and where a ConfigError becomes
 argparse's ``error: config: ...`` line and exit 2.  ``_build_chain`` is
 the single place where a chain is built from a config.
 
-Certificate fields serialize rationals as {"num": ..., "den": ...} string
-pairs and CSV cells as "num/den"; floats never appear in them.  Float
-diagnostics go to stdout only: ``dominate`` prints min_scaled*|E_n|/|F_n|
-per level against the limit (1/4)(1 - 3/e^2), and ``sweep`` prints the
-(1-r_n)^N(n) vs e^(-r_n N(n)) rows of each tail base.
+This module is the one writer of the certificate documents: chain.json
+and dominance.json share one header (``_write_json``), serialize
+rationals as {"num": ..., "den": ...} string pairs (``_rat``), and CSV
+cells as "num/den" (``_cell``); floats never appear in them.  The float
+diagnostics are computed here too and go to stdout only: ``dominate``
+prints min_scaled*|E_n|/|F_n| per level against the limit
+(1/4)(1 - 3/e^2), and ``sweep`` prints the (1-r_n)^N(n) vs e^(-r_n N(n))
+rows of each tail base.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -29,16 +33,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import TYPE_CHECKING, Sequence
 
-from .chains import (
-    Chain, _rat, build_chain, chain_manifest, check_chain_identities, lamplighter_folner, lamplighter_ftilde
-)
-from .dominance import (
-    DominanceReport,
-    dominance_report,
-    limit_diagnostics,
-    reference_constant,
-    report_to_dict,
-)
+from .chains import Chain, build_chain, check_chain_identities, lamplighter_folner, lamplighter_ftilde
+from .dominance import DominanceReport, dominance_report
 from .errors import ConfigError, SizeCapExceeded
 from .groups import Group, group_from_token, word_ball
 from .schedules import Schedule, fn_size, ftilde_size
@@ -50,6 +46,14 @@ if TYPE_CHECKING:
 EXIT_PASS = 0
 EXIT_FAIL = 2
 EXIT_BUDGET = 3
+
+# (1/4)(1 - 3/e^2): the standard-schedule limit of min_scaled*|E_n|/|F_n|
+REFERENCE_CONSTANT = 0.25 * (1 - 3 / math.e**2)
+
+
+def _rat(q: Fraction | None) -> dict | str:
+    """JSON form of a rational: numerator and denominator as strings, None as "inf"."""
+    return "inf" if q is None else {"num": str(q.numerator), "den": str(q.denominator)}
 
 
 def _cell(q: Fraction | None) -> str:
@@ -68,6 +72,18 @@ def atomic_write(path: str, text: str) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _write_json(path: str, chain: Chain, **fields) -> None:
+    """Write a certificate document: the chain's header, then ``fields``."""
+    doc = {
+        "schema": 1,
+        "group": chain.group.token(),
+        "depth": chain.depth,
+        "omega_total_mass": _rat(chain.omega.total_mass),
+        **fields,
+    }
+    atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_config(path: str) -> dict:
@@ -132,8 +148,11 @@ def _folner_sets(cfg: dict, group: Group, cap: int | None) -> list[FiniteSubset]
         indices = _wholes(fol.get("indices"), "folner.indices", 1)
         return [lamplighter_folner(n, cap)[1] for n in indices]
     if kind == "custom":
+        files = fol.get("files", [])
+        if not isinstance(files, list) or not all(isinstance(p, str) for p in files):
+            raise ConfigError("folner.files must be a list of file paths")
         sets = []
-        for p in fol.get("files", []):
+        for p in files:
             try:
                 with open(p) as fh:
                     sets.append(FiniteSubset.deserialize(fh.read()))
@@ -265,17 +284,28 @@ def cmd_census(cfg: dict, out: str, cap: int | None, depth: int | None, seed: in
 
 
 def cmd_chain(cfg: dict, out: str, cap: int | None, depth: int | None, seed: int) -> int:
-    """Write the chain's F_n and E_n sets, omega.csv and the chain.json manifest."""
+    """Write the chain's F_n and E_n sets, omega.csv and the chain.json
+    manifest: per level |F_n|, |E_n|, N(n), t_n, r_n, plus the set files."""
     chain = _build_chain(cfg, cap, depth)
-    set_files = {}
+    sched = chain.schedule
+    set_files, levels = {}, []
     for n in range(1, chain.depth + 1):
         Fn, En = chain.level(n)
         for tag, S in (("F", Fn), ("E", En)):
             name = f"{tag}_{n}.set"
             atomic_write(os.path.join(out, name), S.serialize())
             set_files[f"{tag}_{n}"] = name
+        t, r = _rat(sched.t(n)), _rat(sched.r(n))
+        levels.append({"n": n, "card_F": len(Fn), "card_E": len(En), "N": sched.N(n), "t": t, "r": r})
     atomic_write(os.path.join(out, "omega.csv"), chain.omega.serialize_csv())
-    atomic_write(os.path.join(out, "chain.json"), chain_manifest(chain, set_files))
+    _write_json(
+        os.path.join(out, "chain.json"),
+        chain,
+        tail_base=sched.tail_base,
+        length_base=sched.length_base,
+        levels=levels,
+        set_files=set_files,
+    )
     return EXIT_PASS
 
 
@@ -288,23 +318,32 @@ def cmd_dominate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
         print(f"identity: {message}", file=sys.stderr)
         worst = EXIT_FAIL
     csv = ["n,card_F,card_E,N,min_scaled,bound,c_emp,verdict,taint"]
+    levels = []
     for rep in reports:
         csv.append(
             f"{rep.n},{rep.card_F},{rep.card_E},{rep.N},{_cell(rep.min_scaled)},"
             f"{_cell(rep.bound)},{_cell(rep.c_emp)},{rep.verdict},{str(rep.tainted).lower()}"
         )
-        print(
-            f"n={rep.n} min_scaled*|E_n|/|F_n|={float(rep.scaled_by_envelope()):.7f} "
-            f"limit (1/4)(1-3/e^2)={reference_constant():.7f}"
+        levels.append(
+            {
+                "n": rep.n,
+                "card_F": rep.card_F,
+                "card_E": rep.card_E,
+                "N": rep.N,
+                "min_scaled": _rat(rep.min_scaled),
+                "bound": _rat(rep.bound),
+                "c_emp": _rat(rep.c_emp),
+                "verdict": rep.verdict,
+                "tainted": rep.tainted,
+                "truncation_depth": chain.depth,
+            }
         )
-    doc = {
-        "schema": 1,
-        "group": chain.group.token(),
-        "depth": chain.depth,
-        "omega_total_mass": _rat(chain.omega.total_mass),
-        "levels": [report_to_dict(rep) for rep in reports],
-    }
-    atomic_write(os.path.join(out, "dominance.json"), json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        scaled = rep.min_scaled * Fraction(rep.card_E, rep.card_F)
+        print(
+            f"n={rep.n} min_scaled*|E_n|/|F_n|={float(scaled):.7f} "
+            f"limit (1/4)(1-3/e^2)={REFERENCE_CONSTANT:.7f}"
+        )
+    _write_json(os.path.join(out, "dominance.json"), chain, levels=levels)
     atomic_write(os.path.join(out, "dominance.csv"), "\n".join(csv) + "\n")
     return worst
 
@@ -392,10 +431,12 @@ def cmd_sweep(cfg: dict, out: str, cap: int | None, depth: int | None, seed: int
                 f"{c},{rep.n},{_cell(rep.min_scaled)},{_cell(rep.bound)},"
                 f"{_cell(rep.c_emp)},{rep.verdict}"
             )
-        for row in limit_diagnostics(chain.schedule, range(2, chain.depth + 1)):
+            # (1-r_n)^N(n) against its limit e^(-r_n N(n))
+            r = chain.schedule.r(rep.n)
+            power, limit = float((1 - r) ** rep.N), math.exp(-float(r * rep.N))
             print(
-                f"tail_base={c} n={row['n']} r_N={row['r_N']:.4f} (1-r)^N={row['pow']:.6f} "
-                f"e^-rN={row['limit']:.6f} gap={row['gap']:.2e}"
+                f"tail_base={c} n={rep.n} r_N={float(r * rep.N):.4f} (1-r)^N={power:.6f} "
+                f"e^-rN={limit:.6f} gap={abs(power - limit):.2e}"
             )
     atomic_write(os.path.join(out, "sweep.csv"), "\n".join(rows) + "\n")
     return worst

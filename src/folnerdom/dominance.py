@@ -11,19 +11,16 @@ of the omega-walk with C = 1 / (that minimum).  The report of a level also
 checks the pointwise lower estimate of every power j < N(n) on F_n.  Both
 come from one reading of the walk on F_n, ``level_densities``; under a cap
 every value is a certified lower bound and the report is tainted.
-Everything on this page is exact rational arithmetic; floats appear only
-in the limit diagnostics, never in verdicts.
+Everything on this page is exact rational arithmetic.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chains import Chain, _rat
+from .chains import Chain
 from .measures import convolve_at
-from .schedules import Schedule
 
 
 def finite_n_lower_bound(
@@ -68,31 +65,6 @@ def lower_estimate_slacks(chain: Chain, n: int, dens: list[dict]) -> list[Fracti
     return [min(dens[j].values()) - head ** (j - 1) * t * j / card_E for j in range(1, sched.N(n))]
 
 
-def reference_constant() -> float:
-    """(1/4)(1 - 3/e^2), the standard-schedule limit of the scaled bound."""
-    return 0.25 * (1 - 3 / math.e**2)
-
-
-def limit_diagnostics(sched: Schedule, n_range: range) -> list[dict]:
-    """Per n: (1-r_n)^{N(n)}, e^{-r_n N(n)}, and their gap (floats)."""
-    rows = []
-    for n in n_range:
-        rn = sched.r(n)
-        N = sched.N(n)
-        exact_pow = float((1 - rn) ** N)
-        limit = math.exp(-float(rn * N))
-        rows.append(
-            {
-                "n": n,
-                "r_N": float(rn * N),
-                "pow": exact_pow,
-                "limit": limit,
-                "gap": abs(exact_pow - limit),
-            }
-        )
-    return rows
-
-
 class DominanceReport(NamedTuple):
     n: int
     card_F: int
@@ -104,12 +76,6 @@ class DominanceReport(NamedTuple):
     c_emp: Fraction | None  # 1 / min_scaled; None encodes infinity
     verdict: str  # "pass" | "fail"
     tainted: bool
-    truncation_depth: int
-
-    def scaled_by_envelope(self) -> Fraction:
-        """min density times |E_n| instead of |F_n| (compared to the
-        limiting constant (1/4)(1 - 3/e^2) in diagnostics)."""
-        return self.min_scaled * Fraction(self.card_E, self.card_F)
 
 
 def dominance_report(chain: Chain, n: int) -> DominanceReport:
@@ -137,21 +103,5 @@ def dominance_report(chain: Chain, n: int) -> DominanceReport:
         c_emp=c_emp,
         verdict=verdict,
         tainted=tainted,
-        truncation_depth=chain.depth,
     )
 
-
-def report_to_dict(rep: DominanceReport) -> dict:
-    """JSON-ready form; rationals as numerator/denominator string pairs."""
-    return {
-        "n": rep.n,
-        "card_F": rep.card_F,
-        "card_E": rep.card_E,
-        "N": rep.N,
-        "min_scaled": _rat(rep.min_scaled),
-        "bound": _rat(rep.bound),
-        "c_emp": "inf" if rep.c_emp is None else _rat(rep.c_emp),
-        "verdict": rep.verdict,
-        "tainted": rep.tainted,
-        "truncation_depth": rep.truncation_depth,
-    }

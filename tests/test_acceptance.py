@@ -25,12 +25,11 @@ from folnerdom.actions import (
     zd_mod_action,
 )
 from folnerdom.chains import lamplighter_folner
-from folnerdom.cli import main
+from folnerdom.cli import REFERENCE_CONSTANT, main
 from folnerdom.dominance import (
     dominance_report,
     level_densities,
     lower_estimate_slacks,
-    reference_constant,
 )
 from folnerdom.groups import Lamplighter, Zd
 from folnerdom.lemmas import (
@@ -185,13 +184,13 @@ def test_criterion_06_measure_comparison(z_reports):
         rep = z_reports[n]
         ok = ok and rep.verdict == "pass" and not rep.tainted
         ok = ok and rep.min_scaled >= rep.bound
-        scaled = float(rep.scaled_by_envelope())
+        scaled = float(rep.min_scaled * Fraction(rep.card_E, rep.card_F))
         ok = ok and scaled >= 0.148
-        ok = ok and scaled >= reference_constant() - 1e-3
+        ok = ok and scaled >= REFERENCE_CONSTANT - 1e-3
     verdict(
         6,
         "exact min_scaled >= bound at Z levels 2-3 and scaled value >= 0.148 "
-        f"(limit {reference_constant():.7f}, tol 1e-3), built in {z_reports.build_s:.0f} s",
+        f"(limit {REFERENCE_CONSTANT:.7f}, tol 1e-3), built in {z_reports.build_s:.0f} s",
         ok and z_reports.build_s < 300,
     )
 

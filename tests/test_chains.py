@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +13,10 @@ from folnerdom.chains import (
     Chain,
     build_chain,
     build_omega,
-    chain_manifest,
     check_chain_identities,
     lamplighter_folner,
 )
+from folnerdom.cli import main
 from folnerdom.dominance import dominance_report
 from folnerdom.errors import SizeCapExceeded
 from folnerdom.groups import Lamplighter, Zd
@@ -142,8 +143,11 @@ def test_support_generates(z_chain2, ll_chain):
     assert not support_generates(z_chain2, z_interval(100_000), max_size=50)
 
 
-def test_chain_manifest_schema(z_chain3):
-    doc = json.loads(chain_manifest(z_chain3, {"F_1": "F_1.set"}))
+def test_chain_manifest_schema(z_chain3, tmp_path):
+    # the manifest that `chain` writes for configs/z_depth3.json, whose chain is z_chain3
+    config = str(Path(__file__).resolve().parent.parent / "configs" / "z_depth3.json")
+    assert main(["chain", "--config", config, "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "chain.json").read_text())
     assert doc["schema"] == 1
     assert doc["group"] == "zd:1"
     assert doc["depth"] == 3
@@ -157,7 +161,10 @@ def test_chain_manifest_schema(z_chain3):
         "t": {"num": "1", "den": "4"},
         "r": {"num": "1", "den": "2"},
     }
-    assert doc["set_files"] == {"F_1": "F_1.set"}
+    assert [(lvl["card_F"], lvl["card_E"]) for lvl in doc["levels"]] == [
+        (len(Fn), len(En)) for Fn, En in zip(z_chain3.folner, z_chain3.envelopes)
+    ]
+    assert doc["set_files"] == {f"{tag}_{n}": f"{tag}_{n}.set" for n in (1, 2, 3) for tag in "FE"}
     # no floats anywhere in the serialized document
     def no_floats(x):
         if isinstance(x, float):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from folnerdom.sets import FiniteSubset
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(path, doc):
@@ -105,6 +107,12 @@ def _extract(radii, budget):
         cfg["extract"] = {"budget": budget}
 
     return edit
+
+
+# the exact message of the cases below that name one
+CONFIG_ERRORS = {
+    f"folner-files-{case}": "folner.files must be a list of file paths\n" for case in ("5", "fd-0", "string")
+}
 
 
 @pytest.mark.parametrize(
@@ -223,9 +231,14 @@ def _extract(radii, budget):
             (),
             id="matrix-entry-false",
         ),
+        # 5 used to end in a TypeError, [0] to read a set from standard input
+        # and close it, and "ab" to open the files a and b
+        pytest.param("dominate", _set("folner", kind="custom", files=5), (), id="folner-files-5"),
+        pytest.param("dominate", _set("folner", kind="custom", files=[0]), (), id="folner-files-fd-0"),
+        pytest.param("dominate", _set("folner", kind="custom", files="ab"), (), id="folner-files-string"),
     ],
 )
-def test_invalid_config_is_usage_error(z_config, tmp_path, capsys, cmd, edit, flags):
+def test_invalid_config_is_usage_error(z_config, tmp_path, capsys, request, cmd, edit, flags):
     bad = tmp_path / "bad.json"
     if edit is not None:
         cfg = json.loads(open(z_config).read())
@@ -235,7 +248,8 @@ def test_invalid_config_is_usage_error(z_config, tmp_path, capsys, cmd, edit, fl
     with pytest.raises(SystemExit) as exc:
         run(cmd, str(bad), out, *flags)
     assert exc.value.code == 2  # argparse's usage-error code
-    assert "error: config: " in capsys.readouterr().err
+    message = CONFIG_ERRORS.get(request.node.callspec.id, "")
+    assert f"error: config: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -584,6 +598,25 @@ def test_sweep(z_config, tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["sweep.csv"]
     printed = [line for line in capsys.readouterr().out.splitlines() if " r_N=" in line]
     assert [line.split()[:2] for line in printed] == [["tail_base=2", "n=2"], ["tail_base=3", "n=2"]]
+
+
+def test_readme_diagnostics_block_is_what_the_cli_prints(tmp_path, capsys):
+    # the commands of the README's Diagnostics block, each followed by its stdout
+    section = README.read_text().split("\n## Diagnostics\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    runs = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            runs.append((shlex.split(line[2:]), []))
+        else:
+            runs[-1][1].append(line)
+    assert [argv[:2] for argv, _ in runs] == [["folnerdom", "dominate"], ["folnerdom", "sweep"]]
+    for i, (argv, expected) in enumerate(runs):
+        argv = argv[1:]
+        argv[argv.index("--config") + 1] = str(README.parent / argv[argv.index("--config") + 1])
+        argv[argv.index("--out") + 1] = str(tmp_path / str(i))
+        assert main(argv) == EXIT_PASS
+        assert capsys.readouterr().out.splitlines() == expected
 
 
 # Runs in a fresh ``python -S`` (no site, so no .pth file imports anything):

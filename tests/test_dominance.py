@@ -2,22 +2,22 @@
 
 from __future__ import annotations
 
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folnerdom import dominance
+from folnerdom import cli, dominance
 from folnerdom.chains import Chain, build_chain, build_omega
 from folnerdom.dominance import (
     dominance_report,
     finite_n_lower_bound,
     level_densities,
-    limit_diagnostics,
     lower_estimate_slacks,
-    reference_constant,
-    report_to_dict,
 )
 from folnerdom.groups import Heisenberg, word_ball
 from folnerdom.lemmas import arithgeo_closed_form, limit_profile
@@ -76,16 +76,19 @@ def test_limit_profile_positive_and_reference():
     for x in (0.1, 1.0, 2.0, 10.0):
         assert limit_profile(x) > 0
     # at the standard schedule r_n N(n) = 2 and the prefactor is 1/2 * 1/2
-    assert reference_constant() == pytest.approx(0.25 * limit_profile(2.0) * 2)
-    assert reference_constant() == pytest.approx(0.1484985, abs=1e-6)
+    assert cli.REFERENCE_CONSTANT == pytest.approx(0.25 * limit_profile(2.0) * 2)
+    assert cli.REFERENCE_CONSTANT == pytest.approx(0.1484985, abs=1e-6)
 
 
 def test_limit_diagnostics_standard_schedule():
-    rows = limit_diagnostics(Schedule(depth=2), range(2, 12))
-    for row in rows:
-        assert row["r_N"] == pytest.approx(2.0)  # r_n N(n) = 2^{1-n} 2^n
-        assert row["gap"] >= 0
-    assert rows[-1]["gap"] < rows[0]["gap"]  # (1-r)^N -> e^{-rN}
+    # the quantities `sweep` prints: (1-r_n)^N(n) against e^(-r_n N(n))
+    sched = Schedule(depth=2)
+    gaps = []
+    for n in range(2, 12):
+        r, N = sched.r(n), sched.N(n)
+        assert r * N == 2  # r_n N(n) = 2^{1-n} 2^n
+        gaps.append(abs(float((1 - r) ** N) - math.exp(-float(r * N))))
+    assert all(a > b for a, b in zip(gaps, gaps[1:]))  # (1-r)^N -> e^{-rN}
 
 
 def test_z_reports_pass_exactly(z_reports):
@@ -109,9 +112,8 @@ def test_depth2_chain_level2_exact_value(z_chain2):
 
 
 def test_scaled_by_envelope_near_limit(z_reports):
-    ref = reference_constant()
-    assert float(z_reports[2].scaled_by_envelope()) > ref
-    assert float(z_reports[3].scaled_by_envelope()) > ref
+    for rep in (z_reports[2], z_reports[3]):
+        assert float(rep.min_scaled * Fraction(rep.card_E, rep.card_F)) > cli.REFERENCE_CONSTANT
 
 
 def test_lamplighter_report(ll_report):
@@ -185,9 +187,15 @@ def test_min_scaled_cap_is_sound(z_chain2):
     assert exact.min_scaled == Fraction(4070847, 30118144)
 
 
-def test_report_dict_shape(z_reports):
-    rep = z_reports[2]
-    d = report_to_dict(rep)
+def test_report_dict_shape(z_chain2, tmp_path):
+    # the level that `dominate` writes for configs/z_depth3.json at depth 2, whose chain is z_chain2
+    config = str(Path(__file__).resolve().parent.parent / "configs" / "z_depth3.json")
+    assert cli.main(["dominate", "--config", config, "--depth", "2", "--out", str(tmp_path)]) == 0
+    rep = dominance_report(z_chain2, 2)
+    d = json.loads((tmp_path / "dominance.json").read_text())["levels"][0]
+    assert set(d) == {
+        "n", "card_F", "card_E", "N", "min_scaled", "bound", "c_emp", "verdict", "tainted", "truncation_depth"
+    }
     assert d["min_scaled"] == {
         "num": str(rep.min_scaled.numerator),
         "den": str(rep.min_scaled.denominator),
@@ -196,10 +204,9 @@ def test_report_dict_shape(z_reports):
         "num": str(rep.min_scaled.denominator),
         "den": str(rep.min_scaled.numerator),
     }
-    assert d["verdict"] == "pass" and d["tainted"] is False
-    # infinity sentinel
-    d_inf = report_to_dict(rep._replace(c_emp=None))
-    assert d_inf["c_emp"] == "inf"
+    assert d["verdict"] == "pass" and d["tainted"] is False and d["truncation_depth"] == 2
+    # infinity sentinel, as c_emp of a level with min_scaled = 0
+    assert cli._rat(None) == "inf" and cli._cell(None) == "inf"
 
 
 def test_report_requires_built_level(z_chain2):
