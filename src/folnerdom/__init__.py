@@ -13,7 +13,6 @@ _EXPORTS = {
     "chains": ("Chain", "build_chain", "lamplighter_folner"),
     "dominance": ("DominanceReport", "dominance_report"),
     "groups": ("Group", "Heisenberg", "Lamplighter", "Zd"),
-    "lemmas": ("SymbolicSize",),
     "measures": ("FinSupMeasure",),
     "schedules": ("Schedule",),
     "sets": ("FiniteSubset",),

@@ -4,11 +4,13 @@ This is the package's only front end.  Every run is a pure function of
 (config, seed): output files are byte-identical across repeats.  Exit
 codes: 0 all checks pass, 2 a certified check failed (or, as for
 argparse's own usage errors, the config is invalid), 3 a size cap or the
-extraction budget stopped the run.  ``main`` is the single place where a
-cap hit (SizeCapExceeded, from any stage of any subcommand) becomes exit 3
-and a ``budget:`` line on stderr, and where a ConfigError becomes
-argparse's ``error: config: ...`` line and exit 2.  ``_build_chain`` is
-the single place where a chain is built from a config.
+extraction budget stopped the run, or a level that read a power truncated
+at the cap failed, which disproves nothing (``_level_code``); 2 outranks
+3.  ``main`` is the single place where a cap hit (SizeCapExceeded, from
+any stage of any subcommand) becomes exit 3 and a ``budget:`` line on
+stderr, and where a ConfigError becomes argparse's ``error: config: ...``
+line and exit 2.  ``_build_chain`` is the single place where a chain is
+built from a config.
 
 This module is the one writer of the certificate documents: chain.json
 and dominance.json share one header (``_write_json``), serialize
@@ -197,24 +199,37 @@ def _action_from(cfg: dict, cap: int | None) -> FiniteAction:
 
 
 def _observable_from(spec: dict, act: FiniteAction) -> Observable:
+    """The observable of the simulate section: an indicator of states, a
+    JSON list of values, or a JSON list of matrix rows; it must be
+    nonnegative (pointwise, or positive semidefinite), since the dominance
+    transfer holds for positive observables only."""
     from .actions import Observable
 
     kind = spec.get("kind", "indicator")
+    if kind not in ("indicator", "function", "matrix"):
+        raise ConfigError(f"unknown observable kind {kind!r}")
     try:
         if kind == "indicator":
             states = spec.get("states", [0])
             if not all(type(i) is int and 0 <= i < act.size for i in states):
                 raise ConfigError(f"states must lie in [0, {act.size})")
-            return Observable.indicator(act.size, states)
-        if kind == "function":
-            return Observable.function(spec["values"])
-        if kind == "matrix":
-            return Observable.matrix(spec["rows"])
+            x = Observable.indicator(act.size, states)
+        elif kind == "function":
+            if not isinstance(spec["values"], list):
+                raise ConfigError("values must be a list")
+            x = Observable.function(spec["values"])
+        else:
+            rows = spec["rows"]
+            if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+                raise ConfigError("rows must be a list of lists")
+            x = Observable.matrix(rows)
     except KeyError as exc:
         raise ConfigError(f"observable.{exc.args[0]} required for kind={kind}") from exc
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"observable: {exc}") from exc
-    raise ConfigError(f"unknown observable kind {kind!r}")
+    if not x.is_nonnegative():
+        raise ConfigError("observable must be nonnegative (positive semidefinite for a matrix)")
+    return x
 
 
 def _simulate_params(sim: dict, group: Group) -> tuple[list, Fraction, Fraction, int, int]:
@@ -250,10 +265,29 @@ def _cap_flag(text: str) -> int:
     return cap
 
 
+def _worse(a: int, b: int) -> int:
+    """The worse of two exit codes: a failed check outranks a cap hit."""
+    return max(a, b, key=(EXIT_PASS, EXIT_BUDGET, EXIT_FAIL).index)
+
+
+def _level_code(rep: DominanceReport, cap: int | None) -> int:
+    """The exit code of one level.  A failing tainted level read a power
+    truncated at the cap, so its values are lower bounds and its failure
+    disproves nothing: a cap hit, with a ``budget:`` line, not a failure."""
+    if rep.verdict == "pass":
+        return EXIT_PASS
+    if not rep.tainted:
+        return EXIT_FAIL
+    print(f"budget: level {rep.n} fails on a walk truncated at the cap, cap is {cap}", file=sys.stderr)
+    return EXIT_BUDGET
+
+
 def certify_levels(chain: Chain) -> tuple[list[DominanceReport], int]:
     """The certificates of levels 2..depth and the worst exit code among them."""
     reports = [dominance_report(chain, n) for n in range(2, chain.depth + 1)]
-    worst = EXIT_PASS if all(rep.verdict == "pass" for rep in reports) else EXIT_FAIL
+    worst = EXIT_PASS
+    for rep in reports:
+        worst = _worse(worst, _level_code(rep, chain.cap))
     return reports, worst
 
 
@@ -379,9 +413,10 @@ def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
             pushes.append((n, act.push_ball(n, cap)))
     chain = _build_chain(cfg, cap, depth)
     rep = dominance_report(chain, chain.depth)
-    if rep.c_emp is None or rep.verdict != "pass":
+    code = _level_code(rep, chain.cap)
+    if code != EXIT_PASS:
         print("dominance certificate failed; cannot transfer", file=sys.stderr)
-        return EXIT_FAIL
+        return code
 
     rows = ["check,n,value_num,value_den,ok"]
     averages = [(n, act.apply_push(push, x)) for n, push in pushes]
@@ -425,7 +460,7 @@ def cmd_sweep(cfg: dict, out: str, cap: int | None, depth: int | None, seed: int
         local["schedule"] = dict(_section(cfg, "schedule"), tail_base=c)
         chain = _build_chain(local, cap, depth)
         reports, code = certify_levels(chain)
-        worst = max(worst, code)
+        worst = _worse(worst, code)
         for rep in reports:
             rows.append(
                 f"{c},{rep.n},{_cell(rep.min_scaled)},{_cell(rep.bound)},"

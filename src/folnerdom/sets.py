@@ -27,14 +27,6 @@ class FiniteSubset(Frozen):
     def of(cls, group: Group, elems: Iterable) -> "FiniteSubset":
         return cls(group, frozenset(elems))
 
-    @classmethod
-    def singleton(cls, group: Group, el) -> "FiniteSubset":
-        return cls(group, frozenset((el,)))
-
-    @classmethod
-    def identity_set(cls, group: Group) -> "FiniteSubset":
-        return cls(group, frozenset((group.identity,)))
-
     def __len__(self) -> int:
         return len(self.elements)
 

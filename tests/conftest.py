@@ -1,4 +1,4 @@
-"""Shared fixtures: groups, interval helpers, and session-cached chains.
+"""Shared fixtures: groups, set helpers, and session-cached chains.
 
 The chains are expensive (exact convolutions over supports of ~1600
 elements), so they are built once per session and reused by the unit
@@ -13,13 +13,30 @@ import pytest
 
 from folnerdom.chains import Chain, build_chain, lamplighter_folner
 from folnerdom.dominance import DominanceReport, dominance_report
-from folnerdom.groups import Zd
+from folnerdom.groups import Lamplighter, Zd
 from folnerdom.schedules import Schedule
 from folnerdom.sets import FiniteSubset
 
 
 def z_interval(r: int) -> FiniteSubset:
     return FiniteSubset.of(Zd(1), ((i,) for i in range(-r, r + 1)))
+
+
+def zset(*vals) -> FiniteSubset:
+    return FiniteSubset.of(Zd(1), ((v,) for v in vals))
+
+
+def random_zset(rng, span=10, maxsize=6) -> FiniteSubset:
+    size = rng.randint(1, maxsize)
+    return FiniteSubset.of(Zd(1), ((rng.randint(-span, span),) for _ in range(size)))
+
+
+def random_llset(rng, maxsize=5) -> FiniteSubset:
+    els = []
+    for _ in range(rng.randint(1, maxsize)):
+        lamps = frozenset(rng.sample(range(-4, 5), rng.randint(0, 2)))
+        els.append((rng.randint(-4, 4), lamps))
+    return FiniteSubset.of(Lamplighter(), els)
 
 
 # one line per acceptance criterion, echoed after the run so the verdicts

@@ -1,7 +1,8 @@
-"""The paper's finite lemmas, checked by the test suite; no subcommand imports this module.
+"""The paper's finite lemmas, checked by the test suite; the package never imports this module.
 
-The CLI certifies the dominance inequality and its transfer to actions;
-each function here evaluates a finite lemma of the argument for its test:
+The package certifies the dominance inequality and its transfer to actions;
+each function here evaluates a finite lemma of the argument for its test,
+and takes its set products and convolutions from the package's kernels:
 
 * ``folner_ratio``: two-sided Folner ratios of the lamplighter F_n (criterion 02);
 * ``mixed_absorption_value``: absorption on dynamical interiors (criterion 04);
@@ -22,12 +23,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .chains import Chain
-from .errors import SizeCapExceeded
-from .groups import require_same_group
-from .measures import FinSupMeasure, convolve
-from .schedules import ftilde_size
-from .sets import FiniteSubset, inverse_set, product
+from folnerdom.chains import Chain
+from folnerdom.errors import SizeCapExceeded
+from folnerdom.groups import require_same_group
+from folnerdom.measures import FinSupMeasure, convolve
+from folnerdom.schedules import ftilde_size
+from folnerdom.sets import FiniteSubset, inverse_set, product
 
 MATERIALIZE_BITS = 1 << 16  # larger values stay symbolic
 
@@ -423,20 +424,19 @@ def support_generates(chain: Chain, target: FiniteSubset, max_size: int) -> bool
 
     Finite stand-in for nondegeneracy: the group generated by the support
     of omega must be everything, otherwise the averages could miss F_n
-    entirely (EF_n disjoint from F_n for E outside the closure).  The
-    closure stops when it is stable or past ``max_size`` elements.
+    entirely (EF_n disjoint from F_n for E outside the closure).  Each
+    round squares the closure with ``group.product``; the closure holds e,
+    so its square contains it.  The closure stops when it is stable, and
+    the answer is False as soon as a round would take it past ``max_size``
+    elements, even if that round would have reached ``target``.
     """
-    mul = chain.group.mul
-    closure = set(chain.omega.numerators) | {chain.group.identity}
+    group = chain.group
+    closure = frozenset(chain.omega.numerators) | {group.identity}
     while not target.elements <= closure:
-        if len(closure) > max_size:
+        try:
+            grown = group.product(closure, closure, max_size)
+        except SizeCapExceeded:
             return False
-        grown = set(closure)
-        for a in closure:
-            for b in closure:
-                grown.add(mul(a, b))
-                if len(grown) > max_size:
-                    break
         if len(grown) == len(closure):
             return False
         closure = grown

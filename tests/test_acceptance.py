@@ -18,28 +18,14 @@ from folnerdom.actions import (
     Observable,
     check_dominance,
     convergence_diagnostics,
-    invariant_projection,
-    ergodic_average,
     kadison_check,
     weak11_probe,
     zd_mod_action,
 )
 from folnerdom.chains import lamplighter_folner
 from folnerdom.cli import REFERENCE_CONSTANT, main
-from folnerdom.dominance import (
-    dominance_report,
-    level_densities,
-    lower_estimate_slacks,
-)
+from folnerdom.dominance import level_densities, lower_estimate_slacks
 from folnerdom.groups import Lamplighter, Zd
-from folnerdom.lemmas import (
-    arithgeo_closed_form,
-    count_inverse_product,
-    folner_ratio,
-    lamplighter_schedules,
-    mixed_absorption_value,
-    tempered_prefix_constant,
-)
 from folnerdom.schedules import fn_size, ftilde_size
 from folnerdom.sets import (
     FiniteSubset,
@@ -48,7 +34,15 @@ from folnerdom.sets import (
     product,
 )
 import conftest
-from conftest import z_interval
+from conftest import random_llset, random_zset, z_interval
+from lemmas import (
+    arithgeo_closed_form,
+    count_inverse_product,
+    folner_ratio,
+    lamplighter_schedules,
+    mixed_absorption_value,
+    tempered_prefix_constant,
+)
 
 Z = Zd(1)
 L = Lamplighter()
@@ -78,8 +72,8 @@ def test_criterion_02_singleton_folner_bound():
     cases = 0
     folner = {n: lamplighter_folner(n)[1] for n in range(1, 9)}  # built once, shared by the cases
     for t1, n1, t2, n2 in iproduct(range(-2, 3), range(3), range(-2, 3), range(3)):
-        g1 = FiniteSubset.singleton(L, (t1, frozenset(range(-n1, n1 + 1))))
-        g2 = FiniteSubset.singleton(L, (t2, frozenset(range(-n2, n2 + 1))))
+        g1 = FiniteSubset.of(L, [(t1, frozenset(range(-n1, n1 + 1)))])
+        g2 = FiniteSubset.of(L, [(t2, frozenset(range(-n2, n2 + 1)))])
         for n in range(1, 9):
             if n <= 2 * max(abs(t1) + n1, abs(t2) + n2):
                 continue
@@ -107,18 +101,6 @@ def test_criterion_03_sandwich_difference_bound():
     verdict(3, f"|F_mF_nF_m \\ F_n|/|F_n| bound, m=1, n=5..9, {violations} violations", violations == 0)
 
 
-def _random_zset(rng, span, maxsize):
-    return FiniteSubset.of(Z, ((rng.randint(-span, span),) for _ in range(rng.randint(1, maxsize))))
-
-
-def _random_llset(rng, maxsize):
-    els = []
-    for _ in range(rng.randint(1, maxsize)):
-        lamps = frozenset(rng.sample(range(-4, 5), rng.randint(0, 2)))
-        els.append((rng.randint(-4, 4), lamps))
-    return FiniteSubset.of(L, els)
-
-
 def test_criterion_04_absorption():
     rng = random.Random(2024)
     bad = 0
@@ -127,7 +109,7 @@ def test_criterion_04_absorption():
     def check_pair(H, K):
         nonlocal bad, pairs
         pairs += 1
-        e = FiniteSubset.identity_set(K.group)
+        e = FiniteSubset.of(K.group, [K.group.identity])
         left = {g for g in K if mixed_absorption_value([H, K], 2, g) == 1}
         right = {g for g in K if mixed_absorption_value([K, H], 1, g) == 1}
         if left != interior_bilateral(inverse_set(H), e, K).elements:
@@ -136,16 +118,16 @@ def test_criterion_04_absorption():
             bad += 1
 
     for _ in range(60):
-        check_pair(_random_zset(rng, 12, 7), _random_zset(rng, 15, 9))
+        check_pair(random_zset(rng, 12, 7), random_zset(rng, 15, 9))
     for _ in range(60):
-        check_pair(_random_llset(rng, 5), _random_llset(rng, 8))
+        check_pair(random_llset(rng, 5), random_llset(rng, 8))
 
     # 4-factor corollary instances, 2 <= n <= 4 factors
     four_bad = 0
-    e = FiniteSubset.identity_set(Z)
+    e = FiniteSubset.of(Z, [Z.identity])
     for nfac in (2, 3, 4):
         for _ in range(8):
-            sets = [_random_zset(rng, 6, 4) for _ in range(nfac)]
+            sets = [random_zset(rng, 6, 4) for _ in range(nfac)]
             for j in range(1, nfac + 1):
                 H1, H2 = e, e
                 for S in sets[: j - 1]:

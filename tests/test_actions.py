@@ -29,15 +29,11 @@ from folnerdom.errors import SizeCapExceeded
 from folnerdom.groups import Heisenberg, Lamplighter, Zd, word_ball
 from folnerdom.measures import FinSupMeasure
 from folnerdom.sets import FiniteSubset
-from conftest import z_interval
+from conftest import z_interval, zset
 
 Z = Zd(1)
 H = Heisenberg()
 L = Lamplighter()
-
-
-def zset(*vals) -> FiniteSubset:
-    return FiniteSubset.of(Z, ((v,) for v in vals))
 
 
 def test_observable_constructors_and_validation():

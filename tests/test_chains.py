@@ -19,8 +19,7 @@ from folnerdom.chains import (
 from folnerdom.cli import main
 from folnerdom.dominance import dominance_report
 from folnerdom.errors import SizeCapExceeded
-from folnerdom.groups import Lamplighter, Zd
-from folnerdom.lemmas import support_generates
+from folnerdom.groups import Zd
 from folnerdom.measures import convolve
 from folnerdom.schedules import Schedule, fn_size, ftilde_size
 from folnerdom.sets import (
@@ -31,6 +30,7 @@ from folnerdom.sets import (
     product,
 )
 from conftest import z_interval
+from lemmas import support_generates
 
 Z = Zd(1)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import shlex
@@ -14,7 +15,7 @@ import pytest
 
 from folnerdom import dominance
 from folnerdom.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, _build_chain, load_config, main
-from folnerdom.groups import Zd
+from folnerdom.groups import Group, Heisenberg, Lamplighter, Zd
 from folnerdom.sets import FiniteSubset
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -99,6 +100,16 @@ def _lamplighter(indices=(1, 2), convergence_indices=(2, 5), modulus=3):
     return edit
 
 
+def _observable(modulus, **spec):
+    """Edit: the quotient mod ``modulus`` and the given observable."""
+
+    def edit(cfg):
+        cfg["action"] = {"modulus": modulus}
+        cfg["simulate"]["observable"] = spec
+
+    return edit
+
+
 def _extract(radii, budget):
     """Edit: Folner balls of the given radii, picked by extraction under a budget."""
 
@@ -111,7 +122,13 @@ def _extract(radii, budget):
 
 # the exact message of the cases below that name one
 CONFIG_ERRORS = {
-    f"folner-files-{case}": "folner.files must be a list of file paths\n" for case in ("5", "fd-0", "string")
+    **{f"folner-files-{case}": "folner.files must be a list of file paths\n" for case in ("5", "fd-0", "string")},
+    "function-values-string": "observable: values must be a list\n",
+    "matrix-rows-strings": "observable: rows must be a list of lists\n",
+    **{
+        case: "observable must be nonnegative (positive semidefinite for a matrix)\n"
+        for case in ("function-value-negative", "matrix-not-psd")
+    },
 }
 
 
@@ -236,6 +253,15 @@ CONFIG_ERRORS = {
         pytest.param("dominate", _set("folner", kind="custom", files=5), (), id="folner-files-5"),
         pytest.param("dominate", _set("folner", kind="custom", files=[0]), (), id="folner-files-fd-0"),
         pytest.param("dominate", _set("folner", kind="custom", files="ab"), (), id="folner-files-string"),
+        # the two below used to end in a ValueError with exit 1 after the chain
+        # was built; "123" used to be read as the values (1, 2, 3) and pass,
+        # and ["12", "21"] as the matrix [[1, 2], [2, 1]]
+        pytest.param(
+            "simulate", _observable(3, kind="function", values=[-1, 0, 0]), (), id="function-value-negative"
+        ),
+        pytest.param("simulate", _observable(2, kind="matrix", rows=[[0, 1], [1, 0]]), (), id="matrix-not-psd"),
+        pytest.param("simulate", _observable(3, kind="function", values="123"), (), id="function-values-string"),
+        pytest.param("simulate", _observable(2, kind="matrix", rows=["12", "21"]), (), id="matrix-rows-strings"),
     ],
 )
 def test_invalid_config_is_usage_error(z_config, tmp_path, capsys, request, cmd, edit, flags):
@@ -495,6 +521,42 @@ def test_dominate_fails_on_a_broken_identity(z_config, tmp_path, capsys, monkeyp
     assert json.loads((out / "dominance.json").read_text())["levels"][0]["verdict"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "cmd,tainted,code",
+    [
+        ("dominate", {2}, EXIT_BUDGET),
+        ("dominate", set(), EXIT_FAIL),
+        ("simulate", {2}, EXIT_BUDGET),
+        ("simulate", set(), EXIT_FAIL),
+        ("sweep", {2, 3, 4}, EXIT_BUDGET),
+        ("sweep", set(), EXIT_FAIL),
+        # a failed exact level outranks a tainted one, in either order
+        ("sweep", {2}, EXIT_FAIL),
+        ("sweep", {3, 4}, EXIT_FAIL),
+    ],
+)
+def test_failing_level_exit_code_follows_its_taint(z_config, tmp_path, capsys, monkeypatch, cmd, tainted, code):
+    # no shipped config reaches a failing tainted level, so every level fails
+    # here, tainted on the tail bases in ``tainted``; the cap of 60 truncates
+    # the walk (omega^(2) has 97 atoms) and keeps the balls of radius <= 16
+    report = dominance.dominance_report
+    monkeypatch.setattr(
+        "folnerdom.cli.dominance_report",
+        lambda chain, n: report(chain, n)._replace(verdict="fail", tainted=chain.schedule.tail_base in tainted),
+    )
+    cfg = json.loads(open(z_config).read())
+    cfg["simulate"]["convergence_radii"] = [8, 16]
+    out = tmp_path / "out"
+    assert run(cmd, write_config(tmp_path / "small.json", cfg), out, "--cap", "60") == code
+    budget = [line for line in capsys.readouterr().err.splitlines() if line.startswith("budget:")]
+    assert budget == ["budget: level 2 fails on a walk truncated at the cap, cap is 60"] * len(tainted)
+    # the failing rows are still written, tainted or not; simulate transfers nothing
+    written = {"dominate": {"dominance.json", "dominance.csv"}, "sweep": {"sweep.csv"}, "simulate": set()}
+    assert {p.name for p in out.glob("*")} == written[cmd]
+    if cmd == "dominate":
+        assert (out / "dominance.csv").read_text().splitlines()[1].endswith(f",fail,{str(bool(tainted)).lower()}")
+
+
 def test_dominate_truncates_only_the_walk_under_its_cap(z_config, tmp_path):
     # |E_2| = 49 fits under both caps; omega^(2) has 97 atoms, so a cap of
     # 60 truncates the walk: the level stays a pass, as a certified lower
@@ -509,6 +571,53 @@ def test_dominate_truncates_only_the_walk_under_its_cap(z_config, tmp_path):
     exact = (tmp_path / "exact" / "dominance.json").read_bytes()
     assert (tmp_path / "c97" / "dominance.json").read_bytes() == exact
     assert json.loads(exact)["levels"][0]["tainted"] is False
+
+
+# every kernel each group overrides, and so has a faster path than the
+# base-class loop, its reference
+OVERRIDES = {Zd: ("ball", "ball_counts", "convolve", "product"), Heisenberg: (), Lamplighter: ()}
+
+
+def use_reference_kernels(monkeypatch):
+    """From here on every group runs the base-class kernels."""
+    for cls, names in OVERRIDES.items():
+        for name in names:
+            monkeypatch.setattr(cls, name, getattr(Group, name))
+
+
+def test_every_override_has_a_reference_path():
+    law = {"mul", "inv", "encode", "token", "quotient"}
+    for cls, names in OVERRIDES.items():
+        public = {name for name, value in vars(cls).items() if callable(value) and not name.startswith("_")}
+        assert public - law == set(names), cls
+
+
+@pytest.mark.parametrize("group,cap", [("zd:1", None), ("zd:1", 20), ("zd:2", None), ("zd:2", 200)])
+def test_fast_path_equals_reference_path(tmp_path, capsys, monkeypatch, group, cap):
+    # the caps truncate only the walk: omega^(2) has 25 atoms on Z and 313 on Z^2
+    cfg = {
+        "schema": 1,
+        "group": group,
+        "folner": {"kind": "balls", "radii": [1, 2]},
+        "action": {"modulus": 3},
+        "simulate": {"convergence_radii": [1, 4], "tolerance": "1/10", "kadison_trials": 3},
+    }
+    config = write_config(tmp_path / "c.json", cfg)
+    flags = () if cap is None else ("--cap", str(cap))
+
+    def outputs(path):
+        seen = {}
+        for cmd in ("chain", "dominate", "sweep", "simulate"):
+            code = run(cmd, config, tmp_path / path / cmd, *flags)
+            files = {p.name: p.read_bytes() for p in (tmp_path / path / cmd).iterdir()}
+            seen[cmd] = code, capsys.readouterr(), files
+        return seen
+
+    fast = outputs("fast")
+    use_reference_kernels(monkeypatch)
+    assert outputs("reference") == fast
+    assert [code for code, _, _ in fast.values()] == [EXIT_PASS] * 4
+    assert (b",pass,true" in fast["dominate"][2]["dominance.csv"]) == (cap is not None)
 
 
 def test_dominate_reads_the_top_power_once_per_level(tmp_path, monkeypatch):
@@ -625,7 +734,7 @@ def test_readme_diagnostics_block_is_what_the_cli_prints(tmp_path, capsys):
 STARTUP_PROBE = """
 import json, sys
 from folnerdom import cli
-loaded = lambda: {m: m in sys.modules for m in ("dataclasses", "inspect", "folnerdom.actions", "folnerdom.lemmas")}
+loaded = lambda: {m: m in sys.modules for m in ("dataclasses", "inspect", "folnerdom.actions")}
 config, out = sys.argv[1:]
 codes = [cli.main([cmd, "--config", config, "--out", out]) for cmd in ("census", "chain", "dominate", "sweep")]
 after_certify = loaded()
@@ -649,10 +758,9 @@ def test_cold_certify_loads_no_dataclasses_and_no_actions(z_config, tmp_path):
     )
     codes, after_certify, after_simulate, exports = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [EXIT_PASS] * 5
-    assert after_certify == {
-        "dataclasses": False, "inspect": False, "folnerdom.actions": False, "folnerdom.lemmas": False
-    }
-    assert after_simulate == {
-        "dataclasses": False, "inspect": False, "folnerdom.actions": True, "folnerdom.lemmas": False
-    }
+    assert after_certify == {"dataclasses": False, "inspect": False, "folnerdom.actions": False}
+    assert after_simulate == {"dataclasses": False, "inspect": False, "folnerdom.actions": True}
     assert exports and all(name == found for name, found in exports.items())
+    # the finite lemmas are test code: no package module holds them, and no export names them
+    assert importlib.util.find_spec("folnerdom.lemmas") is None
+    assert "SymbolicSize" not in exports

@@ -20,12 +20,12 @@ from folnerdom.dominance import (
     lower_estimate_slacks,
 )
 from folnerdom.groups import Heisenberg, word_ball
-from folnerdom.lemmas import arithgeo_closed_form, limit_profile
 from folnerdom.measures import convolve_at
 from folnerdom.schedules import Schedule
 from folnerdom.sets import FiniteSubset
 
 from conftest import z_interval
+from lemmas import arithgeo_closed_form, limit_profile
 
 
 @settings(max_examples=200, deadline=None)

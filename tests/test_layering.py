@@ -1,6 +1,7 @@
 """The package's layering, read from the source with ``ast``: the exact
-layers hold no JSON and no float, and no module reaches into another's
-private names."""
+layers hold no JSON and no float, no module reaches into another's
+private names, and no module of the package or the tests imports a name
+it never reads."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "folnerdom"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "folnerdom"
 MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
 
@@ -47,3 +49,18 @@ def test_no_private_name_crosses_modules():
         if alias.name.startswith("_")
     ]
     assert crossings == []
+
+
+def test_every_import_is_read():
+    unread = []
+    for path in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]:
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [
+            f"{path.parent.name}/{path.name}: {alias.asname or alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (alias.asname or alias.name).split(".")[0] not in read
+        ]
+    assert unread == []

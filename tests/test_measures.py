@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from folnerdom.chains import Chain, lamplighter_folner
 from folnerdom.dominance import level_densities
 from folnerdom.groups import Group, Heisenberg, Lamplighter, Zd, word_ball
-from folnerdom.lemmas import mixed_absorption_value
 from folnerdom.measures import (
     FinSupMeasure,
     convolve,
@@ -26,7 +25,8 @@ from folnerdom.sets import (
     inverse_set,
     product,
 )
-from conftest import z_interval
+from conftest import random_llset, random_zset, z_interval
+from lemmas import mixed_absorption_value
 
 Z = Zd(1)
 
@@ -206,7 +206,7 @@ def test_cesaro_density_examples():
     two, tainted = _cesaro_density(u, z_interval(1), 2)
     assert not tainted
     assert two[(0,)] == Fraction(2, 3) and two[(1,)] == Fraction(1, 6)
-    three, _ = _cesaro_density(u, FiniteSubset.singleton(Z, (0,)), 3)
+    three, _ = _cesaro_density(u, FiniteSubset.of(Z, [(0,)]), 3)
     assert three[(0,)] == Fraction(5, 9)  # (1 + 1/3 + 3/9) / 3
 
 
@@ -256,25 +256,11 @@ def test_convolve_at_either_side_smaller(group):
 def _absorption_case(group, H, K):
     """For g in K: (u_H * chi_K)(g) = 1 iff g in iota(H^{-1}, {e}, K), and
     (chi_K * u_H)(g) = 1 iff g in iota({e}, H^{-1}, K)."""
-    e = FiniteSubset.identity_set(group)
+    e = FiniteSubset.of(group, [group.identity])
     left_val_one = {g for g in K if mixed_absorption_value([H, K], 2, g) == 1}
     assert left_val_one == interior_bilateral(inverse_set(H), e, K).elements
     right_val_one = {g for g in K if mixed_absorption_value([K, H], 1, g) == 1}
     assert right_val_one == interior_bilateral(e, inverse_set(H), K).elements
-
-
-def random_zset(rng, span=10, maxsize=6):
-    size = rng.randint(1, maxsize)
-    return FiniteSubset.of(Z, ((rng.randint(-span, span),) for _ in range(size)))
-
-
-def random_llset(rng, maxsize=5):
-    L = Lamplighter()
-    els = []
-    for _ in range(rng.randint(1, maxsize)):
-        lamps = frozenset(rng.sample(range(-4, 5), rng.randint(0, 2)))
-        els.append((rng.randint(-4, 4), lamps))
-    return FiniteSubset.of(L, els)
 
 
 def test_absorption_randomized_z():
@@ -293,7 +279,7 @@ def test_absorption_four_factor():
     """u_{K1} * ... * chi_{Kj} * ... * u_{K4} = 1 exactly on the bilateral
     interior of K_j with respect to the inverted flanking products."""
     rng = random.Random(7)
-    e = FiniteSubset.identity_set(Z)
+    e = FiniteSubset.of(Z, [Z.identity])
     for _ in range(10):
         sets = [random_zset(rng, span=6, maxsize=4) for _ in range(4)]
         for j in (1, 2, 3, 4):

@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folnerdom.chains import lamplighter_folner
-from folnerdom.lemmas import (
+from folnerdom.schedules import Schedule, fn_size, ftilde_size
+from folnerdom.sets import inverse_set, product
+
+from lemmas import (
     MATERIALIZE_BITS,
     SymbolicSize,
     count_inverse_product,
@@ -19,8 +22,6 @@ from folnerdom.lemmas import (
     tempered_prefix_constant,
     temperedness_constant,
 )
-from folnerdom.schedules import Schedule, fn_size, ftilde_size
-from folnerdom.sets import inverse_set, product
 
 
 def test_schedule_invariants_standard():

@@ -11,23 +11,18 @@ from hypothesis import strategies as st
 from folnerdom.chains import build_chain, lamplighter_folner
 from folnerdom.errors import SizeCapExceeded
 from folnerdom.groups import Heisenberg, Lamplighter, Zd, word_ball
-from folnerdom.lemmas import folner_ratio, temperedness_constant
 from folnerdom.schedules import Schedule
 from folnerdom.sets import (
     FiniteSubset,
     interior_bilateral,
     inverse_set,
-    is_symmetric_with_identity,
     power,
     product,
 )
-from conftest import z_interval
+from conftest import z_interval, zset
+from lemmas import folner_ratio, temperedness_constant
 
 Z = Zd(1)
-
-
-def zset(*vals) -> FiniteSubset:
-    return FiniteSubset.of(Z, ((v,) for v in vals))
 
 
 small_zsets = st.frozensets(
@@ -47,7 +42,7 @@ def test_product_lamplighter_ftilde():
 
 def test_power_and_inverse():
     assert power(z_interval(1), 3).elements == z_interval(3).elements
-    e_only = FiniteSubset.identity_set(Z)
+    e_only = FiniteSubset.of(Z, [Z.identity])
     assert power(e_only, 7).elements == e_only.elements
     f1 = lamplighter_folner(1)[1]
     sq = product(f1, f1)
@@ -56,7 +51,7 @@ def test_power_and_inverse():
 
 
 def test_interior_examples():
-    e = FiniteSubset.identity_set(Z)
+    e = FiniteSubset.of(Z, [Z.identity])
     assert interior_bilateral(zset(1), e, z_interval_0_5()).elements == {
         (i,) for i in range(5)
     }
@@ -85,7 +80,7 @@ flank_zsets = st.frozensets(
 @settings(max_examples=100, deadline=None)
 @given(flank_zsets, flank_zsets, small_zsets)
 def test_interior_matches_definition_scan(H1, H2, K):
-    e = FiniteSubset.identity_set(Z)
+    e = FiniteSubset.of(Z, [Z.identity])
     # {e} on either flank is the one-sided interior
     for A, B in ((H1, H2), (H1, e), (e, H2)):
         assert interior_bilateral(A, B, K).elements == brute_interior(A, B, K)
@@ -117,7 +112,7 @@ def test_bilateral_inside_one_sided(H1, H2, K):
     # only valid when the opposite flank contains the identity (otherwise
     # H1 g H2 inside K says nothing about H1 g itself: H1={1}, H2={1},
     # K={0,2} has bilateral interior {0} but empty left interior)
-    e = FiniteSubset.identity_set(Z)
+    e = FiniteSubset.of(Z, [Z.identity])
     H1e = FiniteSubset.of(Z, H1.elements | e.elements)
     H2e = FiniteSubset.of(Z, H2.elements | e.elements)
     both = interior_bilateral(H1e, H2e, K).elements
@@ -132,7 +127,7 @@ def test_set_product_associative(A, B, C):
 
 
 def test_folner_ratio_trivial():
-    e = FiniteSubset.identity_set(Z)
+    e = FiniteSubset.of(Z, [Z.identity])
     assert folner_ratio(e, z_interval(5), e) == 0
 
 
@@ -145,8 +140,8 @@ def test_singleton_folner_bound_example():
     L = Lamplighter()
     n = 5
     fn = lamplighter_folner(n)[1]
-    g1 = FiniteSubset.singleton(L, (1, frozenset({-1, 0, 1})))
-    g2 = FiniteSubset.singleton(L, (0, frozenset({0})))
+    g1 = FiniteSubset.of(L, [(1, frozenset({-1, 0, 1}))])
+    g2 = FiniteSubset.of(L, [(0, frozenset({0}))])
     ratio = folner_ratio(g1, fn, g2)
     assert ratio <= Fraction(4 * (1 + 0 + 1 + 0), n + 1)
 
