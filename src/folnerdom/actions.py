@@ -12,11 +12,12 @@ computes row by row from the ball's closed form (see ``groups.py``).
 
 An ``Observable`` is integers over one denominator, in lowest terms, and
 every operation on it works on those integers: no Fraction per entry.
-``FiniteAction.apply_push`` brings the push weights to one common
-denominator, c_q = w_q D_w, and sums the permuted copies of x in
-integers.  The part of the push that is constant over the states is
-summed once: with c* the most common weight and S(X) the sum of
-alpha_q(X) over all of Q,
+It is also the one form of a pushforward: ``push_set``, ``push_ball``
+and ``push_measure`` return the function q -> w_q as counts c_q over one
+denominator D_w, and ``FiniteAction.apply_push`` sums the permuted
+copies of x with those integer weights.  The part of the push that is
+constant over the states is summed once: with c* the most common count
+and S(X) the sum of alpha_q(X) over all of Q,
 
     sum_q c_q alpha_q(X) = c* S(X) + sum_{c_q != c*} (c_q - c*) alpha_q(X),
 
@@ -26,11 +27,12 @@ quotient covers nearly every state the same number of times, so few
 terms are left.
 
 The PSD order on matrix observables is exact and also runs in integers.
-``psd_check`` brings the matrix to one common denominator and runs a
-fraction-free pivoted LDL^T on it (Bareiss, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968):
-every division is exact, the pivot order is that of the elimination in
-Fractions, and the proxy it returns is the same Fraction.
+``psd_check`` takes the integer numerators of a matrix observable and
+runs a fraction-free pivoted LDL^T on them (Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 22, 1968): every division is exact, the pivot order is that of the
+elimination in Fractions, and the proxy it returns, divided by the
+denominator, is the same Fraction.
 
 A quotient is given by its states and q alone, and each group supplies
 its own as ``Group.quotient(m)`` (see ``groups.py``), so the quotient law
@@ -180,44 +182,39 @@ def _over_common_denominator(values: Iterable) -> tuple[int, list[int]]:
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-def psd_check(mat: Sequence[Sequence[Fraction]]) -> tuple[bool, Fraction]:
-    """Exact PSD test by pivoted LDL^T on a symmetric rational matrix.
+def psd_check(mat: Sequence[Sequence[int]]) -> tuple[bool, Fraction]:
+    """Exact PSD test by pivoted LDL^T on a symmetric integer matrix, such
+    as the numerators ``nums`` of a matrix observable.
 
     Pivots on the largest remaining diagonal entry, the first in index
     order on a tie; a negative diagonal or a nonzero row under a zero
     diagonal disproves PSD.  Returns (verdict, proxy) where the proxy is
     the smallest pivot used (a crude stand-in for the least eigenvalue; 0
     for singular PSD matrices), or the negative pivot that disproved PSD.
+    For the numerators M = D A of a rational matrix A over the
+    denominator D, the proxy of A is the proxy of M divided by D.
 
-    The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): on
-    M = D A, D the common denominator of the entries, each step sets
-    a_ij <- (piv a_ij - a_ip a_pj) / prev, prev the previous pivot (1 at
-    the start), and the division is exact because every entry is then a
-    minor of M.  The pivots B_1, B_2, ... are the leading principal minors
-    of M in pivot order, and the k-th pivot of the rational LDL^T is
-    B_k / (B_{k-1} D).  The earlier pivots are positive, so each remaining
-    diagonal is that of the rational elimination times a positive number:
-    both choose the same pivot, stop at the same step, and the proxy is
-    the same Fraction.
+    The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each
+    step sets a_ij <- (piv a_ij - a_ip a_pj) / prev, prev the previous
+    pivot (1 at the start), and the division is exact because every entry
+    is then a minor of M.  The pivots B_1, B_2, ... are the leading
+    principal minors of M in pivot order, and the k-th pivot of the
+    LDL^T in Fractions is B_k / B_{k-1}.  The earlier pivots are positive,
+    so each remaining diagonal is that of the elimination in Fractions
+    times a positive number: both choose the same pivot, stop at the same
+    step, and the proxy is the same Fraction.
     """
-    n = len(mat)
-    den, flat = _over_common_denominator(v for row in mat for v in row)
-    a = [flat[i * n : (i + 1) * n] for i in range(n)]
-    live = list(range(n))
+    a = [list(row) for row in mat]
+    live = list(range(len(a)))
     prev = 1
-    min_pivot: Fraction | None = None
+    pivots = []
     while live:
         p = max(live, key=lambda i: a[i][i])
         piv = a[p][p]
-        pivot = Fraction(piv, prev * den)
-        if piv < 0:
-            return False, pivot
-        if piv == 0:
-            for i in live:
-                if any(a[i][j] != 0 for j in live):
-                    return False, pivot
-            return True, pivot
-        min_pivot = pivot if min_pivot is None else min(min_pivot, pivot)
+        pivot = Fraction(piv, prev)
+        if piv <= 0:
+            return piv == 0 and not any(a[i][j] for i in live for j in live), pivot
+        pivots.append(pivot)
         live.remove(p)
         row_p = a[p]
         for i in live:
@@ -226,16 +223,12 @@ def psd_check(mat: Sequence[Sequence[Fraction]]) -> tuple[bool, Fraction]:
             for j in live:
                 row_i[j] = (piv * row_i[j] - f * row_p[j]) // prev
         prev = piv
-    return True, min_pivot if min_pivot is not None else Fraction(0)
+    return True, min(pivots, default=Fraction(0))
 
 
 def psd_order_holds(lo: Observable, hi: Observable) -> tuple[bool, Fraction]:
-    """hi - lo >= 0: pointwise slack for functions, pivoted LDL^T for matrices.
-
-    For matrices ``psd_check`` runs on the integer numerators D (hi - lo),
-    D their denominator: its pivots are D times those of hi - lo, in the
-    same order, so its proxy divided by D is the proxy of hi - lo.
-    """
+    """hi - lo >= 0: the pointwise slack for functions, ``psd_check`` on
+    the numerators of hi - lo for matrices."""
     diff = hi.sub(lo)
     if diff.kind == "function":
         slack = Fraction(min(diff.nums), diff.den)
@@ -294,39 +287,39 @@ class FiniteAction:
 
     # -- pushforwards and averages -------------------------------------
 
-    def push_set(self, F: FiniteSubset) -> dict[int, Fraction]:
+    def push_set(self, F: FiniteSubset) -> Observable:
         """Pushforward of uniform(F) through the quotient map."""
         if len(F) == 0:
             raise ValueError("empty Folner set")
         return self._push(zip(F, itertools.repeat(1)), len(F))
 
-    def push_ball(self, radius: int, cap: int | None = None) -> dict[int, Fraction]:
+    def push_ball(self, radius: int, cap: int | None = None) -> Observable:
         """Pushforward of uniform(word ball of radius r) through the quotient
         map, from the counts of ``Group.ball_counts``; a ball over ``cap``
         raises SizeCapExceeded("word_ball", ...) as ``word_ball`` does."""
         counts = self.group.ball_counts(radius, self.qmap, cap)
         return self._push(counts.items(), sum(counts.values()))
 
-    def push_measure(self, mu: FinSupMeasure) -> dict[int, Fraction]:
+    def push_measure(self, mu: FinSupMeasure) -> Observable:
         return self._push(mu.numerators.items(), mu.denominator)
 
-    def _push(self, numerators: Iterable, denominator: int) -> dict[int, Fraction]:
-        """The one pushforward loop: integer numerators summed per state.
-        Uniform(F) is streamed as (g, 1) pairs rather than built as a
-        measure, whose dict would add |F| entries to the peak memory."""
-        counts: dict[int, int] = {}
+    def _push(self, numerators: Iterable, denominator: int) -> Observable:
+        """The one pushforward loop: integer numerators summed per state,
+        over ``denominator``.  Uniform(F) is streamed as (g, 1) pairs rather
+        than built as a measure, whose dict would add |F| entries to the
+        peak memory."""
+        counts = [0] * self.size
         for g, num in numerators:
-            i = self.state_of(g)
-            counts[i] = counts.get(i, 0) + num
-        return {i: Fraction(c, denominator) for i, c in counts.items()}
+            counts[self.state_of(g)] += num
+        return Observable("function", denominator, tuple(counts))
 
-    def apply_push(self, push: dict[int, Fraction], x: Observable) -> Observable:
-        """sum_q w_q alpha_q(x) for the pushforward ``push`` = {q: w_q}.
+    def apply_push(self, push: Observable, x: Observable) -> Observable:
+        """sum_q w_q alpha_q(x) for the pushforward ``push``, the function
+        q -> w_q on the states.
 
-        Computed in integers: the weights are brought to one common
-        denominator D_w, c_q = w_q D_w (0 for a state outside the push),
-        and with X the numerators of x each output numerator is an integer
-        over D_w times the denominator of x.
+        Computed in integers: with c_q the numerators of the push over its
+        denominator D_w and X the numerators of x, each output numerator is
+        an integer over D_w times the denominator of x.
 
         The part of the push that is constant over the states is summed
         once.  With c* the most common c_q (0, then the smallest, on a tie)
@@ -340,18 +333,14 @@ class FiniteAction:
         with T[h] = sum_k X[k][k h]; for a function S(x)[i] = sum_k x[k].
         When c* = 0 only the states in the push are summed.
         """
-        if not push:
-            raise ValueError("empty pushforward")
         n = self.size
-        wden, weights = _over_common_denominator(push.values())
-        c = [0] * n
-        for q, w in zip(push, weights):
-            c[q] = w
-        tally = Counter(c)
+        if push.kind != "function" or push.size != n:
+            raise ValueError("a pushforward is a function on the states")
+        tally = Counter(push.nums)
         base = max(tally, key=lambda v: (tally[v], v == 0, -v))
-        terms = [(w - base, self._inverse_perm(q)) for q, w in enumerate(c) if w != base]
+        terms = [(w - base, self._inverse_perm(q)) for q, w in enumerate(push.nums) if w != base]
         X = x.nums
-        den = wden * x.den
+        den = push.den * x.den
         if x.kind == "function":
             total = base * sum(X)
             return Observable(
@@ -408,8 +397,7 @@ def cesaro_mean(
 
 def invariant_projection(act: FiniteAction, x: Observable) -> Observable:
     """P(x): average of alpha_q(x) over the whole finite quotient group."""
-    m = act.size
-    return act.apply_push({i: Fraction(1, m) for i in range(m)}, x)
+    return act.apply_push(Observable("function", act.size, (1,) * act.size), x)
 
 
 def check_dominance(
@@ -476,9 +464,7 @@ def weak11_probe(
     return good, comp_mass, bound, comp_mass <= bound
 
 
-def kadison_check(
-    act: FiniteAction, push: dict[int, Fraction], x: Observable
-) -> tuple[bool, Fraction]:
+def kadison_check(act: FiniteAction, push: Observable, x: Observable) -> tuple[bool, Fraction]:
     """A_n(x)*A_n(x) <= A_n(x*x) in PSD order (A_n is unital positive),
     A_n from the pushforward ``push`` of uniform(F_n)."""
     return psd_order_holds(act.apply_push(push, x).square(), act.apply_push(push, x.square()))

@@ -9,8 +9,9 @@ at the cap failed, which disproves nothing (``_level_code``); 2 outranks
 3.  ``main`` is the single place where a cap hit (SizeCapExceeded, from
 any stage of any subcommand) becomes exit 3 and a ``budget:`` line on
 stderr, and where a ConfigError becomes argparse's ``error: config: ...``
-line and exit 2.  ``_build_chain`` is the single place where a chain is
-built from a config.
+line and exit 2, as does an output path that cannot be written (``error:
+cannot write <path>: ...``).  ``_build_chain`` is the single place where
+a chain is built from a config.
 
 This module is the one writer of the certificate documents: chain.json
 and dominance.json share one header (``_write_json``), serialize
@@ -247,6 +248,8 @@ def _simulate_params(sim: dict, group: Group) -> tuple[list, Fraction, Fraction,
         tol, eps = Fraction(tol), Fraction(eps)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"simulate: tolerance and eps must be rationals: {exc}") from exc
+    if tol < 0:
+        raise ConfigError("simulate.tolerance must be nonnegative")
     if eps <= 0:
         raise ConfigError("simulate.eps must be positive")
     trials = _whole(sim.get("kadison_trials", 25), "simulate.kadison_trials", 0)
@@ -436,7 +439,7 @@ def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
         rows.append(f"weak11_mass,0,{mass.numerator},{mass.denominator},{str(wok).lower()}")
 
     kact = zd_mod_action(1, dim)
-    kpush = kact.push_set(FiniteSubset.of(kact.group, ((i,) for i in range(dim))))
+    kpush = Observable("function", dim, (1,) * dim)  # uniform over Z/dim
     kad_fail = 0
     for _ in range(trials):
         raw = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(dim)]
@@ -501,6 +504,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return handler(load_config(args.config), args.out, args.cap, args.depth, args.seed)
     except ConfigError as exc:
         parser.error(f"config: {exc}")
+    except OSError as exc:  # only writes: reads raise ConfigError; os.replace names the path second
+        parser.error(f"cannot write {exc.filename2 or exc.filename}: {exc.strerror}")
     except SizeCapExceeded as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET

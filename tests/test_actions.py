@@ -112,7 +112,7 @@ def test_action_is_homomorphism(make, element):
     rng = random.Random(5)
 
     def alpha(g, y):
-        return act.apply_push({act.state_of(g): 1}, y)
+        return act.apply_push(Observable.indicator(act.size, [act.state_of(g)]), y)
 
     for _ in range(25):
         g, h = element(rng), element(rng)
@@ -141,22 +141,23 @@ def observables(draw, n, kind=None):
 
 @st.composite
 def pushes_and_observables(draw):
-    """A quotient action, a push and an observable.  The push is either one
-    or more states with weights of mixed denominators and signs, or full
-    support: one common weight with a few states perturbed, so that the
-    common part is summed as c* S(X)."""
+    """A quotient action, a push and an observable.  The push is either
+    weights of mixed denominators and signs on one or more states, 0
+    elsewhere, or one common weight with a few states perturbed, so that
+    the common part is summed as c* S(X)."""
     act = draw(st.sampled_from(QUOTIENTS))
     n = act.size
     states = st.integers(0, n - 1)
     if draw(st.booleans()):
-        push = draw(st.dictionaries(states, signed_rationals, min_size=1, max_size=n))
+        weights = dict.fromkeys(range(n), 0)
+        weights.update(draw(st.dictionaries(states, signed_rationals, min_size=1, max_size=n)))
     else:
-        push = dict.fromkeys(range(n), draw(signed_rationals))
-        push.update(draw(st.dictionaries(states, signed_rationals, max_size=3)))
-    return act, push, draw(observables(n))
+        weights = dict.fromkeys(range(n), draw(signed_rationals))
+        weights.update(draw(st.dictionaries(states, signed_rationals, max_size=3)))
+    return act, Observable.function(weights.values()), draw(observables(n))
 
 
-def fraction_fold(act: FiniteAction, push: dict, x: Observable) -> tuple:
+def fraction_fold(act: FiniteAction, push: Observable, x: Observable) -> tuple:
     """sum_q w_q alpha_q(x) on the Fraction entries of x, one copy at a time,
     with alpha_q(x)(s) = x(q^-1 s) taken from the group law: the oracle of
     ``apply_push``."""
@@ -165,7 +166,7 @@ def fraction_fold(act: FiniteAction, push: dict, x: Observable) -> tuple:
         total = [Fraction(0)] * n
     else:
         total = [[Fraction(0)] * n for _ in range(n)]
-    for q, w in push.items():
+    for q, w in enumerate(push.data):
         qinv = G.inv(act.states[q])
         src = [act.state_of(G.mul(qinv, s)) for s in act.states]
         for i in range(n):
@@ -329,12 +330,15 @@ def symmetric_matrices(draw):
 @example([[Fraction(1, 3), Fraction(1, 6)], [Fraction(1, 6), Fraction(1, 5)]])
 @example([[-1]])
 def test_psd_check_matches_the_fraction_ldlt(mat):
-    """The fraction-free elimination against the Fraction LDL^T: the same
-    verdict and the same proxy.  With the Bareiss divisor frozen at 1
-    (``// prev`` as ``// 1``) the entries are no longer minors and the
-    pivots come out wrong from the third step on; the Gram cases of rank 3
-    and more, and the tied-diagonal example, catch it."""
-    assert psd_check(mat) == fraction_ldlt(mat)
+    """The fraction-free elimination on the numerators of the matrix against
+    the Fraction LDL^T: the same verdict, and the same proxy once divided by
+    the denominator.  With the Bareiss divisor frozen at 1 (``// prev`` as
+    ``// 1``) the entries are no longer minors and the pivots come out wrong
+    from the third step on; the Gram cases of rank 3 and more, and the
+    tied-diagonal example, catch it."""
+    m = Observable.matrix(mat)
+    ok, proxy = psd_check(m.nums)
+    assert (ok, proxy / m.den) == fraction_ldlt(mat)
 
 
 @settings(max_examples=150, deadline=None)
@@ -425,7 +429,7 @@ def test_convergence_lamplighter_exact_zero():
     act = FiniteAction(L, *L.quotient(3))
     ft = lamplighter_folner(5)[0]
     push = act.push_set(ft)
-    assert set(push.values()) == {Fraction(1, act.size)}
+    assert set(push.data) == {Fraction(1, act.size)}
     x = Observable.indicator(act.size, [0])
     rows = convergence_diagnostics(act, [(5, act.apply_push(push, x))], x)
     assert rows[0][1] == 0

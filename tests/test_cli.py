@@ -124,6 +124,7 @@ def _extract(radii, budget):
 CONFIG_ERRORS = {
     **{f"folner-files-{case}": "folner.files must be a list of file paths\n" for case in ("5", "fd-0", "string")},
     "function-values-string": "observable: values must be a list\n",
+    "tolerance-negative": "simulate.tolerance must be nonnegative\n",
     "matrix-rows-strings": "observable: rows must be a list of lists\n",
     **{
         case: "observable must be nonnegative (positive semidefinite for a matrix)\n"
@@ -220,6 +221,8 @@ CONFIG_ERRORS = {
             id="observable-value-infinity",
         ),
         pytest.param("simulate", _set("simulate", tolerance=float("inf")), (), id="tolerance-infinity"),
+        # used to write simulate.csv with every convergence row false and exit 2
+        pytest.param("simulate", _set("simulate", tolerance="-1"), (), id="tolerance-negative"),
         pytest.param("simulate", _set("simulate", observable={"kind": "matrix", "rows": 5}), (), id="rows-5"),
         pytest.param(
             "simulate", _set("simulate", observable={"kind": "indicator", "states": 3}), (), id="states-3"
@@ -267,7 +270,7 @@ CONFIG_ERRORS = {
 def test_invalid_config_is_usage_error(z_config, tmp_path, capsys, request, cmd, edit, flags):
     bad = tmp_path / "bad.json"
     if edit is not None:
-        cfg = json.loads(open(z_config).read())
+        cfg = json.loads(Path(z_config).read_text())
         edit(cfg)
         write_config(bad, cfg)
     out = tmp_path / "out"
@@ -288,6 +291,20 @@ def test_negative_cap_is_usage_error(z_config, tmp_path, capsys, cmd):
     assert exc.value.code == 2
     assert "error: argument --cap: must be an integer >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-a-file"])
+def test_unwritable_out_is_usage_error(z_config, tmp_path, capsys, sub):
+    # used to end in a FileExistsError or NotADirectoryError with exit 1
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / sub if sub else blocker
+    with pytest.raises(SystemExit) as exc:
+        run("chain", z_config, out)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"folnerdom: error: cannot write {out}: ")
+    assert blocker.read_text() == ""
 
 
 def test_value_error_in_computation_is_not_a_config_error(z_config, tmp_path, monkeypatch):
@@ -388,7 +405,7 @@ def test_shipped_configs_build_their_chains(name, tmp_path):
     ],
 )
 def test_cap_hit_exits_budget(z_config, tmp_path, capsys, cmd, edit, flags, what):
-    cfg = json.loads(open(z_config).read())
+    cfg = json.loads(Path(z_config).read_text())
     edit(cfg)
     config = write_config(tmp_path / "edited.json", cfg)
     out = tmp_path / "out"
@@ -413,7 +430,7 @@ def test_extraction_chain_is_the_certified_chain(z_config, tmp_path):
     # dominate used to skip the extract block and certify F_2 = [-2, 2];
     # an empty block used to skip the extraction, though its budget defaults to 64
     for i, block in enumerate(({"budget": 64}, {})):
-        cfg = json.loads(open(z_config).read())
+        cfg = json.loads(Path(z_config).read_text())
         cfg.update(folner={"kind": "balls", "radii": [1, 2, 3, 16]}, extract=block)
         config = write_config(tmp_path / f"extract{i}.json", cfg)
         assert run("chain", config, tmp_path / f"chain{i}") == EXIT_PASS
@@ -447,7 +464,7 @@ def test_custom_folner_sets_must_be_symmetric(z_config, tmp_path, capsys):
         path = tmp_path / f"F_{n}.set"
         path.write_text(FiniteSubset.of(Zd(1), ((i,) for i in range(lo, hi + 1))).serialize())
         files.append(str(path))
-    cfg = json.loads(open(z_config).read())
+    cfg = json.loads(Path(z_config).read_text())
     cfg["folner"] = {"kind": "custom", "files": files}
     config = write_config(tmp_path / "custom.json", cfg)
     out = tmp_path / "out"
@@ -465,7 +482,7 @@ def test_malformed_custom_folner_file_is_usage_error(z_config, tmp_path, capsys,
     # both used to end in an IndexError traceback with exit 1
     path = tmp_path / "F.set"
     path.write_text(listing)
-    cfg = json.loads(open(z_config).read())
+    cfg = json.loads(Path(z_config).read_text())
     cfg["folner"] = {"kind": "custom", "files": [str(path), str(path)]}
     config = write_config(tmp_path / "custom.json", cfg)
     out = tmp_path / "out"
@@ -479,7 +496,7 @@ def test_malformed_custom_folner_file_is_usage_error(z_config, tmp_path, capsys,
 def test_custom_folner_roundtrip(z_config, tmp_path):
     chain_out = tmp_path / "chain"
     assert run("chain", z_config, chain_out) == EXIT_PASS
-    cfg = json.loads(open(z_config).read())
+    cfg = json.loads(Path(z_config).read_text())
     cfg["folner"] = {"kind": "custom", "files": [str(chain_out / f"F_{n}.set") for n in (1, 2)]}
     custom = write_config(tmp_path / "custom.json", cfg)
     assert run("dominate", z_config, tmp_path / "balls") == EXIT_PASS
@@ -544,7 +561,7 @@ def test_failing_level_exit_code_follows_its_taint(z_config, tmp_path, capsys, m
         "folnerdom.cli.dominance_report",
         lambda chain, n: report(chain, n)._replace(verdict="fail", tainted=chain.schedule.tail_base in tainted),
     )
-    cfg = json.loads(open(z_config).read())
+    cfg = json.loads(Path(z_config).read_text())
     cfg["simulate"]["convergence_radii"] = [8, 16]
     out = tmp_path / "out"
     assert run(cmd, write_config(tmp_path / "small.json", cfg), out, "--cap", "60") == code
@@ -645,7 +662,7 @@ def test_simulate_pass_and_seeded(z_config, tmp_path):
 
 
 def test_simulate_fail_on_tight_tolerance(z_config, tmp_path):
-    cfg = json.loads(open(z_config).read())
+    cfg = json.loads(Path(z_config).read_text())
     cfg["simulate"]["convergence_radii"] = [4, 8]
     cfg["simulate"]["tolerance"] = "1/1000000"
     tight = write_config(tmp_path / "tight.json", cfg)
@@ -659,6 +676,13 @@ def test_simulate_lamplighter(ll_config, tmp_path):
     conv = [r for r in rows if r.startswith("convergence,5")]
     # m = 3 divides 5 + 1: the average equals the projection exactly
     assert conv and conv[0] == "convergence,5,0,1,true"
+
+
+def test_simulate_zero_tolerance_is_valid(ll_config, tmp_path):
+    # the last average equals the projection exactly, so a tolerance of 0 passes
+    cfg = json.loads(Path(ll_config).read_text())
+    cfg["simulate"]["tolerance"] = 0
+    assert run("simulate", write_config(tmp_path / "zero.json", cfg), tmp_path / "o") == EXIT_PASS
 
 
 def test_simulate_heisenberg(tmp_path):
@@ -694,7 +718,7 @@ def test_simulate_heisenberg(tmp_path):
 
 
 def test_sweep(z_config, tmp_path, capsys):
-    cfg = json.loads(open(z_config).read())
+    cfg = json.loads(Path(z_config).read_text())
     cfg["sweep"] = {"tail_bases": [2, 3]}
     sw = write_config(tmp_path / "sw.json", cfg)
     out = tmp_path / "out"

@@ -1,4 +1,4 @@
-"""Exact measures: convolution, powers, Cesaro densities, absorption."""
+"""Exact measures: convolution, powers, Cesaro densities, mixtures."""
 
 from __future__ import annotations
 
@@ -19,14 +19,8 @@ from folnerdom.measures import (
     mix,
 )
 from folnerdom.schedules import Schedule
-from folnerdom.sets import (
-    FiniteSubset,
-    interior_bilateral,
-    inverse_set,
-    product,
-)
-from conftest import random_llset, random_zset, z_interval
-from lemmas import mixed_absorption_value
+from folnerdom.sets import FiniteSubset
+from conftest import z_interval
 
 Z = Zd(1)
 
@@ -251,51 +245,6 @@ def test_convolve_at_either_side_smaller(group):
     for mu, nu in ((small, big), (big, small)):
         full = convolve(mu, nu)
         assert convolve_at(mu, nu, points) == {g: full.mass(g) for g in points}
-
-
-def _absorption_case(group, H, K):
-    """For g in K: (u_H * chi_K)(g) = 1 iff g in iota(H^{-1}, {e}, K), and
-    (chi_K * u_H)(g) = 1 iff g in iota({e}, H^{-1}, K)."""
-    e = FiniteSubset.of(group, [group.identity])
-    left_val_one = {g for g in K if mixed_absorption_value([H, K], 2, g) == 1}
-    assert left_val_one == interior_bilateral(inverse_set(H), e, K).elements
-    right_val_one = {g for g in K if mixed_absorption_value([K, H], 1, g) == 1}
-    assert right_val_one == interior_bilateral(e, inverse_set(H), K).elements
-
-
-def test_absorption_randomized_z():
-    rng = random.Random(42)
-    for _ in range(60):
-        _absorption_case(Z, random_zset(rng), random_zset(rng, span=15, maxsize=10))
-
-
-def test_absorption_randomized_lamplighter():
-    rng = random.Random(43)
-    for _ in range(60):
-        _absorption_case(Lamplighter(), random_llset(rng), random_llset(rng, maxsize=8))
-
-
-def test_absorption_four_factor():
-    """u_{K1} * ... * chi_{Kj} * ... * u_{K4} = 1 exactly on the bilateral
-    interior of K_j with respect to the inverted flanking products."""
-    rng = random.Random(7)
-    e = FiniteSubset.of(Z, [Z.identity])
-    for _ in range(10):
-        sets = [random_zset(rng, span=6, maxsize=4) for _ in range(4)]
-        for j in (1, 2, 3, 4):
-            H1 = e
-            for S in sets[: j - 1]:
-                H1 = product(H1, S)
-            H2 = e
-            for S in sets[j:]:
-                H2 = product(H2, S)
-            inner = interior_bilateral(inverse_set(H1), inverse_set(H2), sets[j - 1])
-            ones = {
-                g
-                for g in sets[j - 1]
-                if mixed_absorption_value(sets, j, g) == 1
-            }
-            assert ones == inner.elements
 
 
 def test_mixture_mass_and_flag():
