@@ -6,15 +6,19 @@ codes: 0 all checks pass, 2 a certified check failed (or, as for
 argparse's own usage errors, the config is invalid), 3 a size cap or the
 extraction budget stopped the run, or a level that read a power truncated
 at the cap failed, which disproves nothing (``_level_code``); 2 outranks
-3.  ``main`` is the single place where a cap hit (SizeCapExceeded, from
+3.  A subcommand ``cmd_*`` only computes: it returns its exit code and its
+files, an ordered dict of output name -> text, and never sees ``--out``.
+``main`` is the one writer, and a run writes all of its files or none: if
+a write fails, ``main`` removes the files the run already put in place.
+``main`` is also the single place where a cap hit (SizeCapExceeded, from
 any stage of any subcommand) becomes exit 3 and a ``budget:`` line on
-stderr, and where a ConfigError becomes argparse's ``error: config: ...``
-line and exit 2, as does an output path that cannot be written (``error:
-cannot write <path>: ...``).  ``_build_chain`` is the single place where
-a chain is built from a config.
+stderr, where a ConfigError becomes argparse's ``error: config: ...``
+line and exit 2, and where an OSError, from writing the files only,
+becomes exit 2 and ``error: cannot write <path>: ...``.  ``_build_chain``
+is the single place where a chain is built from a config.
 
-This module is the one writer of the certificate documents: chain.json
-and dominance.json share one header (``_write_json``), serialize
+This module makes every certificate document: chain.json
+and dominance.json share one header (``_document``), serialize
 rationals as {"num": ..., "den": ...} string pairs (``_rat``), and CSV
 cells as "num/den" (``_cell``); floats never appear in them.  The float
 diagnostics are computed here too and go to stdout only: ``dominate``
@@ -71,14 +75,16 @@ def atomic_write(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.umask(mask := os.umask(0))  # mkstemp's 0600 becomes a plain open's mode
+        os.chmod(tmp, 0o666 & ~mask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def _write_json(path: str, chain: Chain, **fields) -> None:
-    """Write a certificate document: the chain's header, then ``fields``."""
+def _document(chain: Chain, **fields) -> str:
+    """A certificate document: the chain's header, then ``fields``."""
     doc = {
         "schema": 1,
         "group": chain.group.token(),
@@ -86,7 +92,7 @@ def _write_json(path: str, chain: Chain, **fields) -> None:
         "omega_total_mass": _rat(chain.omega.total_mass),
         **fields,
     }
-    atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def load_config(path: str) -> dict:
@@ -235,11 +241,14 @@ def _observable_from(spec: dict, act: FiniteAction) -> Observable:
 
 def _simulate_params(sim: dict, group: Group) -> tuple[list, Fraction, Fraction, int, int]:
     """(convergence indices, tolerance, eps, kadison_trials, kadison_dim) of
-    the simulate section; lamplighter indices n give F~_n, others radii."""
+    the simulate section; lamplighter indices n give F~_n, others radii,
+    and the key of the other kind of group is a ConfigError."""
     if group.kind == "lamplighter":
-        key, default, least = "convergence_indices", [2, 5, 8], 1
+        key, other, default, least = "convergence_indices", "convergence_radii", [2, 5, 8], 1
     else:
-        key, default, least = "convergence_radii", [1, 4, 16, 64], 0
+        key, other, default, least = "convergence_radii", "convergence_indices", [1, 4, 16, 64], 0
+    if other in sim:
+        raise ConfigError(f"simulate.{other} does not apply to {group.token()}; use simulate.{key}")
     conv_ns = _wholes(sim.get(key, default), f"simulate.{key}", least)
     tol, eps = sim.get("tolerance", "1/1000"), sim.get("eps", "1/8")
     try:
@@ -297,7 +306,7 @@ def certify_levels(chain: Chain) -> tuple[list[DominanceReport], int]:
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_census(cfg: dict, out: str, cap: int | None, depth: int | None, seed: int) -> int:
+def cmd_census(cfg: dict, cap: int | None, depth: int | None, seed: int) -> tuple[int, dict[str, str]]:
     """Lamplighter cardinalities vs closed forms; ball growth otherwise."""
     group = group_from_token(cfg["group"])
     nmax = _section(cfg, "census").get("max_index", 6) if depth is None else depth
@@ -316,37 +325,35 @@ def cmd_census(cfg: dict, out: str, cap: int | None, depth: int | None, seed: in
         rows = ["n,card_ball"]
         for n in range(0, nmax + 1):
             rows.append(f"{n},{len(word_ball(group, n, cap))}")
-    atomic_write(os.path.join(out, "census.csv"), "\n".join(rows) + "\n")
-    return EXIT_PASS if all_match else EXIT_FAIL
+    return (EXIT_PASS if all_match else EXIT_FAIL), {"census.csv": "\n".join(rows) + "\n"}
 
 
-def cmd_chain(cfg: dict, out: str, cap: int | None, depth: int | None, seed: int) -> int:
-    """Write the chain's F_n and E_n sets, omega.csv and the chain.json
+def cmd_chain(cfg: dict, cap: int | None, depth: int | None, seed: int) -> tuple[int, dict[str, str]]:
+    """The chain's F_n and E_n sets, omega.csv and the chain.json
     manifest: per level |F_n|, |E_n|, N(n), t_n, r_n, plus the set files."""
     chain = _build_chain(cfg, cap, depth)
     sched = chain.schedule
-    set_files, levels = {}, []
+    files, set_files, levels = {}, {}, []
     for n in range(1, chain.depth + 1):
         Fn, En = chain.level(n)
         for tag, S in (("F", Fn), ("E", En)):
             name = f"{tag}_{n}.set"
-            atomic_write(os.path.join(out, name), S.serialize())
+            files[name] = S.serialize()
             set_files[f"{tag}_{n}"] = name
         t, r = _rat(sched.t(n)), _rat(sched.r(n))
         levels.append({"n": n, "card_F": len(Fn), "card_E": len(En), "N": sched.N(n), "t": t, "r": r})
-    atomic_write(os.path.join(out, "omega.csv"), chain.omega.serialize_csv())
-    _write_json(
-        os.path.join(out, "chain.json"),
+    files["omega.csv"] = chain.omega.serialize_csv()
+    files["chain.json"] = _document(
         chain,
         tail_base=sched.tail_base,
         length_base=sched.length_base,
         levels=levels,
         set_files=set_files,
     )
-    return EXIT_PASS
+    return EXIT_PASS, files
 
 
-def cmd_dominate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: int) -> int:
+def cmd_dominate(cfg: dict, cap: int | None, depth: int | None, seed: int) -> tuple[int, dict[str, str]]:
     """Per-level dominance certificates and the chain identities; nonzero
     exit if any level or identity fails."""
     chain = _build_chain(cfg, cap, depth)
@@ -380,12 +387,10 @@ def cmd_dominate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
             f"n={rep.n} min_scaled*|E_n|/|F_n|={float(scaled):.7f} "
             f"limit (1/4)(1-3/e^2)={REFERENCE_CONSTANT:.7f}"
         )
-    _write_json(os.path.join(out, "dominance.json"), chain, levels=levels)
-    atomic_write(os.path.join(out, "dominance.csv"), "\n".join(csv) + "\n")
-    return worst
+    return worst, {"dominance.json": _document(chain, levels=levels), "dominance.csv": "\n".join(csv) + "\n"}
 
 
-def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: int) -> int:
+def cmd_simulate(cfg: dict, cap: int | None, depth: int | None, seed: int) -> tuple[int, dict[str, str]]:
     """Convergence, dominance transfer, weak (1,1) probe, Kadison battery."""
     from .actions import (
         Observable,
@@ -419,7 +424,7 @@ def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
     code = _level_code(rep, chain.cap)
     if code != EXIT_PASS:
         print("dominance certificate failed; cannot transfer", file=sys.stderr)
-        return code
+        return code, {}
 
     rows = ["check,n,value_num,value_den,ok"]
     averages = [(n, act.apply_push(push, x)) for n, push in pushes]
@@ -449,11 +454,10 @@ def cmd_simulate(cfg: dict, out: str, cap: int | None, depth: int | None, seed: 
     failures += kad_fail
     rows.append(f"kadison_failures,{trials},{kad_fail},1,{str(kad_fail == 0).lower()}")
 
-    atomic_write(os.path.join(out, "simulate.csv"), "\n".join(rows) + "\n")
-    return EXIT_PASS if failures == 0 else EXIT_FAIL
+    return (EXIT_PASS if failures == 0 else EXIT_FAIL), {"simulate.csv": "\n".join(rows) + "\n"}
 
 
-def cmd_sweep(cfg: dict, out: str, cap: int | None, depth: int | None, seed: int) -> int:
+def cmd_sweep(cfg: dict, cap: int | None, depth: int | None, seed: int) -> tuple[int, dict[str, str]]:
     """Dominance constants across a grid of tail bases."""
     bases = _wholes(_section(cfg, "sweep").get("tail_bases", [2, 3, 4]), "sweep.tail_bases", 2)
     rows = ["tail_base,n,min_scaled,bound,c_emp,verdict"]
@@ -476,8 +480,7 @@ def cmd_sweep(cfg: dict, out: str, cap: int | None, depth: int | None, seed: int
                 f"tail_base={c} n={rep.n} r_N={float(r * rep.N):.4f} (1-r)^N={power:.6f} "
                 f"e^-rN={limit:.6f} gap={abs(power - limit):.2e}"
             )
-    atomic_write(os.path.join(out, "sweep.csv"), "\n".join(rows) + "\n")
-    return worst
+    return worst, {"sweep.csv": "\n".join(rows) + "\n"}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -501,14 +504,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         "sweep": cmd_sweep,
     }[args.command]
     try:
-        return handler(load_config(args.config), args.out, args.cap, args.depth, args.seed)
+        code, files = handler(load_config(args.config), args.cap, args.depth, args.seed)
     except ConfigError as exc:
         parser.error(f"config: {exc}")
-    except OSError as exc:  # only writes: reads raise ConfigError; os.replace names the path second
-        parser.error(f"cannot write {exc.filename2 or exc.filename}: {exc.strerror}")
     except SizeCapExceeded as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    written = []
+    try:
+        for name, text in files.items():
+            atomic_write(path := os.path.join(args.out, name), text)
+            written.append(path)
+    except OSError as exc:  # os.replace names the path second
+        for path in written:  # all of the run's files or none
+            os.unlink(path)
+        parser.error(f"cannot write {exc.filename2 or exc.filename}: {exc.strerror}")
+    return code
 
 
 if __name__ == "__main__":

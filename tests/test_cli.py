@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import shlex
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -95,7 +96,21 @@ def _lamplighter(indices=(1, 2), convergence_indices=(2, 5), modulus=3):
     def edit(cfg):
         cfg.update(group="lamplighter", folner={"kind": "lamplighter", "indices": list(indices)})
         cfg["action"] = {"modulus": modulus}
+        cfg["simulate"].pop("convergence_radii")
         cfg["simulate"]["convergence_indices"] = list(convergence_indices)
+
+    return edit
+
+
+def _convergence(key, group_edit=_keep):
+    """Edit: ``group_edit``, then [1] under simulate.``key`` as the only
+    convergence list."""
+
+    def edit(cfg):
+        group_edit(cfg)
+        for k in ("convergence_radii", "convergence_indices"):
+            cfg["simulate"].pop(k, None)
+        cfg["simulate"][key] = [1]
 
     return edit
 
@@ -125,6 +140,10 @@ CONFIG_ERRORS = {
     **{f"folner-files-{case}": "folner.files must be a list of file paths\n" for case in ("5", "fd-0", "string")},
     "function-values-string": "observable: values must be a list\n",
     "tolerance-negative": "simulate.tolerance must be nonnegative\n",
+    "z-convergence-indices": "simulate.convergence_indices does not apply to zd:1; use simulate.convergence_radii\n",
+    "lamplighter-convergence-radii": (
+        "simulate.convergence_radii does not apply to lamplighter; use simulate.convergence_indices\n"
+    ),
     "matrix-rows-strings": "observable: rows must be a list of lists\n",
     **{
         case: "observable must be nonnegative (positive semidefinite for a matrix)\n"
@@ -178,6 +197,11 @@ CONFIG_ERRORS = {
         pytest.param("dominate", _lamplighter(indices=[0, 2]), (), id="lamplighter-index-0"),
         pytest.param(
             "simulate", _lamplighter(convergence_indices=[0, 2]), (), id="lamplighter-convergence-index-0"
+        ),
+        # the key of the other kind of group used to be dropped for the defaults
+        pytest.param("simulate", _convergence("convergence_indices"), (), id="z-convergence-indices"),
+        pytest.param(
+            "simulate", _convergence("convergence_radii", _lamplighter()), (), id="lamplighter-convergence-radii"
         ),
         pytest.param("dominate", _set("schedule", tail_base="2"), (), id="tail-base-string"),
         pytest.param("dominate", _set("schedule", length_base=2.5), (), id="length-base-2.5"),
@@ -293,27 +317,62 @@ def test_negative_cap_is_usage_error(z_config, tmp_path, capsys, cmd):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-a-file"])
-def test_unwritable_out_is_usage_error(z_config, tmp_path, capsys, sub):
-    # used to end in a FileExistsError or NotADirectoryError with exit 1
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    out = blocker / sub if sub else blocker
+@pytest.mark.parametrize(
+    "cmd,out,blocker",
+    [
+        # a file in the way of --out: used to end in a FileExistsError or
+        # NotADirectoryError with exit 1
+        pytest.param("chain", "file", "file", id="file"),
+        pytest.param("chain", "file/sub", "file", id="under-a-file"),
+        # a directory in the way of the last output file: used to leave the
+        # files written before it, a partial certificate
+        pytest.param("chain", "out", "out/chain.json", id="chain-json-a-directory"),
+        pytest.param("dominate", "out", "out/dominance.csv", id="dominance-csv-a-directory"),
+    ],
+)
+def test_unwritable_out_is_usage_error(z_config, tmp_path, capsys, cmd, out, blocker):
+    blocked, top = tmp_path / blocker, out.split("/")[0]
+    if blocker == top:
+        blocked.write_text("")
+        named = tmp_path / out
+    else:
+        blocked.mkdir(parents=True)
+        named = blocked
     with pytest.raises(SystemExit) as exc:
-        run("chain", z_config, out)
+        run(cmd, z_config, tmp_path / out)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.splitlines()[-1].startswith(f"folnerdom: error: cannot write {out}: ")
-    assert blocker.read_text() == ""
+    assert err.splitlines()[-1].startswith(f"folnerdom: error: cannot write {named}: ")
+    # the run leaves nothing but the blocker, as it found it
+    left = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")}
+    assert left == {"z.json", top, blocker}
+    assert blocked.is_dir() or blocked.read_text() == ""
 
 
-def test_value_error_in_computation_is_not_a_config_error(z_config, tmp_path, monkeypatch):
+@pytest.mark.parametrize("error", [ValueError, OSError])
+def test_value_error_in_computation_is_not_a_config_error(z_config, tmp_path, capsys, monkeypatch, error):
+    # an OSError used to be reported as "cannot write None: ..." with exit 2
     def broken(*args):
-        raise ValueError("inside the computation")
+        raise error("inside the computation")
 
     monkeypatch.setattr("folnerdom.cli.build_chain", broken)
-    with pytest.raises(ValueError, match="inside the computation"):
+    with pytest.raises(error, match="inside the computation"):
         run("dominate", z_config, tmp_path / "out")
+    err = capsys.readouterr().err
+    assert "cannot write" not in err and "error: config" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+def test_output_files_have_the_mode_of_a_plain_write(z_config, tmp_path, umask):
+    # mkstemp's mode 0600 used to reach every output file
+    old = os.umask(umask)
+    try:
+        assert run("chain", z_config, tmp_path / "out") == EXIT_PASS
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in (tmp_path / "out").iterdir()}
+    assert len(modes) == 6 and set(modes.values()) == {0o666 & ~umask}, modes
 
 
 def test_census_lamplighter(ll_config, tmp_path):
