@@ -98,7 +98,8 @@ def _document(chain: Chain, **fields) -> str:
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            # a JSON decimal is the rational it spells, not the nearest double
+            cfg = json.load(fh, parse_float=Fraction)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror}") from exc
     except ValueError as exc:
@@ -116,9 +117,10 @@ def load_config(path: str) -> dict:
 
 def _whole(value, what: str, least: int) -> int:
     """``value`` if it is an integer >= ``least``; otherwise a ConfigError.
-    JSON true and false are not integers (the ``type`` test rejects bool)."""
+    JSON true and false, and decimals such as 2.5 or 1.0, are not integers."""
     if type(value) is not int or value < least:
-        raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
+        shown = f"{value.numerator}/{value.denominator}" if isinstance(value, Fraction) else repr(value)
+        raise ConfigError(f"{what} must be an integer >= {least}, got {shown}")
     return value
 
 

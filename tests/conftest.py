@@ -94,4 +94,8 @@ def ll_chain() -> Chain:
 
 @pytest.fixture(scope="session")
 def ll_report(ll_chain: Chain) -> DominanceReport:
-    return dominance_report(ll_chain, 2)
+    """The level-2 report, built on a copy of ``ll_chain`` so that the walk
+    it convolves (omega^(2) holds 133 120 atoms) is freed with the copy
+    instead of staying on the session chain."""
+    c = ll_chain
+    return dominance_report(Chain(c.group, c.folner, c.envelopes, c.schedule, c.omega, c.cap), 2)
