@@ -95,11 +95,23 @@ def _document(chain: Chain, **fields) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _decimal(text: str) -> Fraction:
+    """The JSON decimal ``text`` as the rational it spells, not the nearest
+    double.  An exponent of larger magnitude than the interpreter's limit on
+    integer digits is a ValueError, raised before Fraction builds 10^e, as
+    for an integer literal with more digits; a limit of 0, or none (CPython
+    before 3.10.7), bounds nothing."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    exponent = text.lower().partition("e")[2]
+    if limit and exponent and abs(int(exponent)) > limit:
+        raise ValueError(f"Exceeds the limit ({limit}) for the exponent of a decimal")
+    return Fraction(text)
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            # a JSON decimal is the rational it spells, not the nearest double
-            cfg = json.load(fh, parse_float=Fraction)
+            cfg = json.load(fh, parse_float=_decimal)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror}") from exc
     except ValueError as exc:

@@ -8,10 +8,14 @@ Elements are plain hashable Python values; the group object owns the law:
 * ``Lamplighter()`` -- pairs ``(t, lamps)`` with ``lamps`` a frozenset of
   ints, ``(t1,K1)(t2,K2) = (t1+t2, K1 ^ (t1+K2))``.
 
-Every element has a canonical byte encoding (tag byte, then signed
-varints; lamp sets length-prefixed and sorted ascending) which is
-injective and is used as the serialization key and the deterministic
-tie-break order everywhere downstream.
+Every element has a canonical byte encoding, the serialization key and
+the deterministic tie-break order everywhere downstream.  ``_encode_ints``
+writes it: the group's ``tag`` byte (0x01 Z^d, 0x02 Heisenberg, 0x03
+lamplighter), then a list of ints, each zigzag-mapped (n >= 0 to 2n,
+n < 0 to -2n - 1) and written in base 128, low digit first, with the high
+bit set on every byte but the last.  Z^d and Heisenberg elements write
+their coordinates; a lamplighter element writes t, the number of lamps,
+and the lamps in ascending order.  ``_decode_ints`` reads the ints back.
 
 Each group owns the three exact kernels behind every product of measures
 and of sets: ``convolve(a, b)``, the raw numerators of a * b for element ->
@@ -60,40 +64,40 @@ mod m: both laws are integer polynomials); the lamplighter maps onto
 from __future__ import annotations
 
 from itertools import product as iproduct
+from itertools import repeat
 from math import comb, prod
+from operator import add, neg
+from operator import mul as times
 from typing import Callable, Iterable
 
 from .errors import GroupMismatchError, SizeCapExceeded
 
-_TAG_ZD = 0x01
-_TAG_HEISENBERG = 0x02
-_TAG_LAMPLIGHTER = 0x03
+def _encode_ints(tag: int, values: Iterable[int]) -> bytes:
+    """``tag``, then each value as a zigzag varint (see the module docstring)."""
+    out = bytearray((tag,))
+    for n in values:
+        z = n << 1 if n >= 0 else ~(n << 1)
+        while z > 0x7F:
+            out.append(z & 0x7F | 0x80)
+            z >>= 7
+        out.append(z)
+    return bytes(out)
 
 
-def _write_svarint(out: bytearray, n: int) -> None:
-    # zigzag, then base-128 little-endian
-    z = n << 1 if n >= 0 else (-n << 1) - 1
-    while True:
-        b = z & 0x7F
-        z >>= 7
-        if z:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return
-
-
-def _read_svarint(data: bytes, pos: int) -> tuple[int, int]:
-    z = 0
-    shift = 0
-    while True:
-        b = data[pos]
-        pos += 1
-        z |= (b & 0x7F) << shift
-        shift += 7
-        if not b & 0x80:
-            break
-    return (z >> 1 if not z & 1 else -((z + 1) >> 1)), pos
+def _decode_ints(data: bytes, pos: int, count: int) -> tuple[list[int], int]:
+    """``count`` zigzag varints from ``data[pos:]``, and the position after them."""
+    values = []
+    for _ in range(count):
+        z = shift = 0
+        while True:
+            b = data[pos]
+            pos += 1
+            z |= (b & 0x7F) << shift
+            shift += 7
+            if b < 0x80:
+                break
+        values.append((z >> 1) ^ -(z & 1))
+    return values, pos
 
 
 def _pack(cols: list, values: Iterable, lo: list, strides: list, slot: int) -> int:
@@ -114,6 +118,7 @@ class Group:
     """Base class: element algebra plus a symmetric generating set."""
 
     kind: str
+    tag: int
     identity: object
     generators: tuple
 
@@ -136,7 +141,11 @@ class Group:
         return el
 
     def _decode_at(self, data: bytes, pos: int):
-        raise NotImplementedError
+        """An int tuple as long as the identity, after the group's tag."""
+        if data[pos] != self.tag:
+            raise ValueError(f"bad tag for {self.kind} element")
+        values, pos = _decode_ints(data, pos + 1, len(self.identity))
+        return tuple(values), pos
 
     def token(self) -> str:
         """Short text descriptor, invertible via group_from_token()."""
@@ -195,8 +204,12 @@ class Group:
         (a * b)(g) = sum_k a(g k^-1) b(k).  Loops over ``b`` and inverts each
         of its elements once, so callers pass the smaller operand second."""
         mul, get = self.mul, a.get
-        terms = [(self.inv(k), v) for k, v in b.items()]
-        return {g: sum(v * get(mul(g, ki), 0) for ki, v in terms) for g in points}
+        inverses = list(map(self.inv, b))
+        weights = list(b.values())
+        return {
+            g: sum(map(times, weights, map(get, map(mul, repeat(g), inverses), repeat(0))))
+            for g in points
+        }
 
     def product(self, A: Iterable, B: Iterable, cap: int | None) -> frozenset:
         """{ab : a in A, b in B} by the group law; the cap is checked after
@@ -224,6 +237,7 @@ class Group:
 
 class Zd(Group):
     kind = "zd"
+    tag = 0x01
 
     def __init__(self, d: int = 1):
         if d < 1:
@@ -239,10 +253,12 @@ class Zd(Group):
         self.generators = tuple(gens)
 
     def mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b, strict=True))
+        if len(a) != len(b):
+            raise ValueError("elements of different dimensions")
+        return tuple(map(add, a, b))
 
     def inv(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(neg, a))
 
     def _rows(self, radius: int, cap: int | None) -> list[tuple[tuple, int]]:
         """The rows of the L1 ball of radius r: (head, l) for each point
@@ -339,20 +355,7 @@ class Zd(Group):
         return frozenset(out)
 
     def encode(self, a) -> bytes:
-        out = bytearray([_TAG_ZD])
-        for x in a:
-            _write_svarint(out, x)
-        return bytes(out)
-
-    def _decode_at(self, data, pos):
-        if data[pos] != _TAG_ZD:
-            raise ValueError("bad tag for Z^d element")
-        pos += 1
-        v = []
-        for _ in range(self.d):
-            x, pos = _read_svarint(data, pos)
-            v.append(x)
-        return tuple(v), pos
+        return _encode_ints(self.tag, a)
 
     def token(self):
         return f"zd:{self.d}"
@@ -360,6 +363,7 @@ class Zd(Group):
 
 class Heisenberg(Group):
     kind = "heisenberg"
+    tag = 0x02
     identity = (0, 0, 0)
 
     def __init__(self):
@@ -373,23 +377,12 @@ class Heisenberg(Group):
         return (-a[0], -a[1], a[0] * a[1] - a[2])
 
     def encode(self, a) -> bytes:
-        out = bytearray([_TAG_HEISENBERG])
-        for x in a:
-            _write_svarint(out, x)
-        return bytes(out)
-
-    def _decode_at(self, data, pos):
-        if data[pos] != _TAG_HEISENBERG:
-            raise ValueError("bad tag for Heisenberg element")
-        pos += 1
-        a, pos = _read_svarint(data, pos)
-        b, pos = _read_svarint(data, pos)
-        c, pos = _read_svarint(data, pos)
-        return (a, b, c), pos
+        return _encode_ints(self.tag, a)
 
 
 class Lamplighter(Group):
     kind = "lamplighter"
+    tag = 0x03
     identity = (0, frozenset())
 
     def __init__(self):
@@ -410,23 +403,11 @@ class Lamplighter(Group):
 
     def encode(self, a) -> bytes:
         t, k = a
-        out = bytearray([_TAG_LAMPLIGHTER])
-        _write_svarint(out, t)
-        _write_svarint(out, len(k))
-        for x in sorted(k):
-            _write_svarint(out, x)
-        return bytes(out)
+        return _encode_ints(self.tag, (t, len(k), *sorted(k)))
 
     def _decode_at(self, data, pos):
-        if data[pos] != _TAG_LAMPLIGHTER:
-            raise ValueError("bad tag for lamplighter element")
-        pos += 1
-        t, pos = _read_svarint(data, pos)
-        n, pos = _read_svarint(data, pos)
-        lamps = []
-        for _ in range(n):
-            x, pos = _read_svarint(data, pos)
-            lamps.append(x)
+        (t, n), pos = super()._decode_at(data, pos)
+        lamps, pos = _decode_ints(data, pos, n)
         if lamps != sorted(set(lamps)):
             raise ValueError("lamp set not strictly sorted")
         return (t, frozenset(lamps)), pos

@@ -81,8 +81,10 @@ def test_config_decimal_is_the_rational_it_spells(z_config, tmp_path):
     # a JSON decimal used to be read as the double nearest to it
     cfg = json.loads(Path(z_config).read_text())
     cfg["simulate"]["tolerance"] = 0.001
+    cfg["note"] = 1e300  # an exponent under the limit on integer digits
     loaded = load_config(write_config(tmp_path / "dec.json", cfg))
     assert loaded["simulate"]["tolerance"] == Fraction(1, 1000)
+    assert loaded["note"] == 10**300
 
 
 def test_simulate_decimals_equal_rational_strings(z_config, tmp_path):
@@ -108,6 +110,12 @@ def _set(section, **fields):
 
 def _put(section, value):
     return lambda cfg: cfg.__setitem__(section, value)
+
+
+def _note(number):
+    """The config's text with an unused key whose value is the JSON number
+    ``number``, spelled as given."""
+    return lambda cfg: json.dumps(cfg)[:-1] + f', "note": {number}}}'
 
 
 def _keep(cfg):
@@ -317,14 +325,17 @@ CONFIG_ERRORS = {
         pytest.param("simulate", _observable(2, kind="matrix", rows=[[0, 1], [1, 0]]), (), id="matrix-not-psd"),
         pytest.param("simulate", _observable(3, kind="function", values="123"), (), id="function-values-string"),
         pytest.param("simulate", _observable(2, kind="matrix", rows=["12", "21"]), (), id="matrix-rows-strings"),
+        # each used to build 10^10000000 for some seconds, and pass
+        pytest.param("chain", _note("1e10000000"), (), id="decimal-exponent-huge"),
+        pytest.param("chain", _note("1e-10000000"), (), id="decimal-exponent-huge-negative"),
     ],
 )
 def test_invalid_config_is_usage_error(z_config, tmp_path, capsys, request, cmd, edit, flags):
     bad = tmp_path / "bad.json"
     if edit is not None:
         cfg = json.loads(Path(z_config).read_text())
-        edit(cfg)
-        write_config(bad, cfg)
+        text = edit(cfg)  # _note's edits return the config's text; the others change cfg
+        bad.write_text(text if isinstance(text, str) else json.dumps(cfg))
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         run(cmd, str(bad), out, *flags)
@@ -563,10 +574,12 @@ def test_custom_folner_sets_must_be_symmetric(z_config, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "listing", ["", "folnerdom-set zd:1 1\n01\n"], ids=["empty-file", "truncated-element"]
+    "listing",
+    ["", "folnerdom-set zd:1 1\n01\n", "folnerdom-set zd:1 1\n0200\n", "folnerdom-set zd:1 1\n010000\n"],
+    ids=["empty-file", "truncated-element", "heisenberg-tag", "trailing-bytes"],
 )
 def test_malformed_custom_folner_file_is_usage_error(z_config, tmp_path, capsys, listing):
-    # both used to end in an IndexError traceback with exit 1
+    # the first two used to end in an IndexError traceback with exit 1
     path = tmp_path / "F.set"
     path.write_text(listing)
     cfg = json.loads(Path(z_config).read_text())
@@ -580,17 +593,28 @@ def test_malformed_custom_folner_file_is_usage_error(z_config, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_custom_folner_roundtrip(z_config, tmp_path):
+@pytest.mark.parametrize(
+    "group,folner",
+    [
+        ("zd:1", {"kind": "balls", "radii": [2, 16]}),
+        ("heisenberg", {"kind": "balls", "radii": [1, 2]}),
+        ("lamplighter", {"kind": "lamplighter", "indices": [1, 2]}),
+    ],
+    ids=["zd", "heisenberg", "lamplighter"],
+)
+def test_custom_folner_roundtrip(tmp_path, group, folner):
+    # the chain read back from its own F_n files writes the same files, so
+    # every group's decoder runs end to end
+    cfg = {"schema": 1, "group": group, "schedule": {"depth": 2}, "folner": folner}
     chain_out = tmp_path / "chain"
-    assert run("chain", z_config, chain_out) == EXIT_PASS
-    cfg = json.loads(Path(z_config).read_text())
+    assert run("chain", write_config(tmp_path / "c.json", cfg), chain_out) == EXIT_PASS
     cfg["folner"] = {"kind": "custom", "files": [str(chain_out / f"F_{n}.set") for n in (1, 2)]}
-    custom = write_config(tmp_path / "custom.json", cfg)
-    assert run("dominate", z_config, tmp_path / "balls") == EXIT_PASS
-    assert run("dominate", custom, tmp_path / "custom") == EXIT_PASS
-    assert (tmp_path / "custom" / "dominance.json").read_bytes() == (
-        tmp_path / "balls" / "dominance.json"
-    ).read_bytes()
+    custom_out = tmp_path / "custom"
+    assert run("chain", write_config(tmp_path / "custom.json", cfg), custom_out) == EXIT_PASS
+    files = sorted(p.name for p in chain_out.iterdir())
+    assert files == sorted(p.name for p in custom_out.iterdir())
+    for name in files:
+        assert (custom_out / name).read_bytes() == (chain_out / name).read_bytes(), name
 
 
 def test_dominate_deterministic(z_config, tmp_path, capsys):

@@ -64,6 +64,53 @@ def test_decode_rejects_truncated_bytes(group):
             group.decode(data)
 
 
+# the bytes every *.set file and omega.csv key is written in: the tag, then
+# zigzag varints (0 -> 00, -1 -> 01, -64 -> 7f, 64 -> 8001)
+GOLDEN_ENCODINGS = [
+    (Zd(1), (123,), "01f601"),
+    (Zd(1), (0,), "0100"),
+    (Zd(1), (-1,), "0101"),
+    (Zd(1), (-64,), "017f"),
+    (Zd(1), (64,), "018001"),
+    (Zd(1), (2**70,), "018080808080808080808002"),
+    (Zd(2), (-8193, 8192), "01818001808001"),
+    (Heisenberg(), (3, -4, 100), "020607c801"),
+    (Heisenberg(), (0, 0, 0), "02000000"),
+    (Heisenberg(), (-1, 1, -64), "0201027f"),
+    (Heisenberg(), (-8193, 8192, 300), "02818001808001d804"),
+    (Lamplighter(), (2, frozenset({-1, 0, 3})), "030406010006"),
+    (Lamplighter(), (0, frozenset()), "030000"),
+    (Lamplighter(), (-1, frozenset({-64, 64})), "0301047f8001"),
+    (Lamplighter(), (8192, frozenset({0})), "038080010200"),
+]
+
+
+@pytest.mark.parametrize(
+    "group,element,hexed", [pytest.param(*case, id=f"{case[0].token()}-{case[2]}") for case in GOLDEN_ENCODINGS]
+)
+def test_encoding_golden_bytes(group, element, hexed):
+    assert group.encode(element).hex() == hexed
+    assert group.decode(bytes.fromhex(hexed)) == element
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.token())
+def test_decode_rejects_another_groups_tag_and_trailing_bytes(group):
+    data = group.encode(group.generators[0])
+    for other in (Zd, Heisenberg, Lamplighter):
+        if other.tag != group.tag:
+            with pytest.raises(ValueError, match=f"bad tag for {group.kind} element"):
+                group.decode(bytes([other.tag]) + data[1:])
+    with pytest.raises(ValueError, match="trailing bytes in element encoding"):
+        group.decode(data + b"\x00")
+
+
+@pytest.mark.parametrize("hexed", ["0300040602", "0300040202"], ids=["unsorted", "repeated"])
+def test_lamplighter_decode_rejects_unsorted_or_repeated_lamps(hexed):
+    # two lamps after t = 0: 3 then 1, and 1 twice
+    with pytest.raises(ValueError, match="lamp set not strictly sorted"):
+        Lamplighter().decode(bytes.fromhex(hexed))
+
+
 def test_lamplighter_law_examples():
     L = Lamplighter()
     assert L.mul((1, frozenset({0})), (1, frozenset({0}))) == (2, frozenset({0, 1}))
