@@ -16,6 +16,11 @@ n < 0 to -2n - 1) and written in base 128, low digit first, with the high
 bit set on every byte but the last.  Z^d and Heisenberg elements write
 their coordinates; a lamplighter element writes t, the number of lamps,
 and the lamps in ascending order.  ``_decode_ints`` reads the ints back.
+``decode`` is the exact inverse of ``encode``: it reads the ints, builds
+the element they spell and accepts the bytes only if ``encode`` gives them
+back, so every element has one spelling and the writer alone defines it.
+A varint longer than Python's limit on integer digits
+(``sys.get_int_max_str_digits()``) is refused before it is read.
 
 Each group owns the three exact kernels behind every product of measures
 and of sets: ``convolve(a, b)``, the raw numerators of a * b for element ->
@@ -63,6 +68,7 @@ mod m: both laws are integer polynomials); the lamplighter maps onto
 
 from __future__ import annotations
 
+import sys
 from itertools import product as iproduct
 from itertools import repeat
 from math import comb, prod
@@ -85,18 +91,26 @@ def _encode_ints(tag: int, values: Iterable[int]) -> bytes:
 
 
 def _decode_ints(data: bytes, pos: int, count: int) -> tuple[list[int], int]:
-    """``count`` zigzag varints from ``data[pos:]``, and the position after them."""
+    """``count`` zigzag varints from ``data[pos:]``, and the position after them.
+
+    Each varint is measured before it is read, since reading one costs time
+    quadratic in its length: one of more bytes than the interpreter's limit
+    on integer digits is a ValueError, as an integer literal with more
+    digits is; a limit of 0, or none (CPython before 3.10.7), bounds nothing.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     values = []
     for _ in range(count):
-        z = shift = 0
-        while True:
-            b = data[pos]
-            pos += 1
-            z |= (b & 0x7F) << shift
-            shift += 7
-            if b < 0x80:
-                break
+        end = pos
+        while data[end] > 0x7F:
+            end += 1
+        if limit and end - pos >= limit:
+            raise ValueError(f"Exceeds the limit ({limit}) for the bytes of a varint")
+        z = 0
+        for b in reversed(data[pos : end + 1]):
+            z = z << 7 | b & 0x7F
         values.append((z >> 1) ^ -(z & 1))
+        pos = end + 1
     return values, pos
 
 
@@ -132,20 +146,19 @@ class Group:
         raise NotImplementedError
 
     def decode(self, data: bytes):
+        """The element that ``encode`` writes as ``data``; a ValueError for
+        any other bytes."""
         try:
-            el, pos = self._decode_at(data, 0)
+            el = self._decode(data)
         except IndexError:
             raise ValueError("truncated element encoding") from None
-        if pos != len(data):
-            raise ValueError("trailing bytes in element encoding")
+        if self.encode(el) != data:
+            raise ValueError("non-canonical element encoding")
         return el
 
-    def _decode_at(self, data: bytes, pos: int):
-        """An int tuple as long as the identity, after the group's tag."""
-        if data[pos] != self.tag:
-            raise ValueError(f"bad tag for {self.kind} element")
-        values, pos = _decode_ints(data, pos + 1, len(self.identity))
-        return tuple(values), pos
+    def _decode(self, data: bytes):
+        """The int tuple, as long as the identity, that follows the tag byte."""
+        return tuple(_decode_ints(data, 1, len(self.identity))[0])
 
     def token(self) -> str:
         """Short text descriptor, invertible via group_from_token()."""
@@ -405,12 +418,9 @@ class Lamplighter(Group):
         t, k = a
         return _encode_ints(self.tag, (t, len(k), *sorted(k)))
 
-    def _decode_at(self, data, pos):
-        (t, n), pos = super()._decode_at(data, pos)
-        lamps, pos = _decode_ints(data, pos, n)
-        if lamps != sorted(set(lamps)):
-            raise ValueError("lamp set not strictly sorted")
-        return (t, frozenset(lamps)), pos
+    def _decode(self, data):
+        (t, n), pos = _decode_ints(data, 1, 2)
+        return (t, frozenset(_decode_ints(data, pos, n)[0]))
 
     def quotient(self, m: int) -> tuple[Iterable, Callable]:
         """(Z/m) x| (Z/2)^m: states (t, lamps) with t and the lamps in

@@ -14,6 +14,10 @@ way whichever kernel ran; ``convolve_at``, at chosen points only, from
 ``group.convolve_at``.  The powers of omega are walked once per chain, by
 ``Chain.powers`` (see ``chains``), and read on F_n by
 ``dominance.level_densities``.
+
+``serialize_csv`` defines the measure listing, and ``deserialize_csv``
+reads back exactly the text that it writes: it parses the listing and
+accepts it only if ``serialize_csv`` gives the same text back.
 """
 
 from __future__ import annotations
@@ -101,18 +105,22 @@ class FinSupMeasure(Frozen):
 
     @classmethod
     def deserialize_csv(cls, text: str) -> "FinSupMeasure":
-        lines = text.strip().splitlines()
-        header = dict(
-            kv.split("=", 1) for kv in lines[0].lstrip("# ").split()[1:]
-        )
-        group = group_from_token(header["group"])
+        """The measure that ``serialize_csv`` writes as ``text``; a
+        ValueError for any other text."""
+        header, *lines = text.split("\n")
+        group = group_from_token(header.partition(" group=")[2].partition(" ")[0])
         masses = {}
-        for row in lines[2:]:
+        for row in lines[1:-1]:
             h, num, den = row.split(",")
-            masses[group.decode(bytes.fromhex(h))] = Fraction(int(num), int(den))
+            try:
+                masses[group.decode(bytes.fromhex(h))] = Fraction(int(num), int(den))
+            except ZeroDivisionError:
+                raise ValueError("zero denominator") from None
         mu = cls.from_masses(group, masses)
-        if header.get("flag") == "mass-dropped-lower-bound":
+        if header.endswith(" flag=mass-dropped-lower-bound"):
             mu = FinSupMeasure(group, mu.numerators, mu.denominator, True)
+        if mu.serialize_csv() != text:
+            raise ValueError("non-canonical measure listing")
         return mu
 
 

@@ -7,6 +7,10 @@ group is exact and bi-invariant.
 
 Set products and interiors run through the group's exact kernels,
 ``group.product`` and ``group.convolve`` (see ``groups``).
+
+``serialize`` defines the set listing, and ``deserialize`` reads back
+exactly the text that it writes: it parses the listing and accepts it only
+if ``serialize`` gives the same text back.
 """
 
 from __future__ import annotations
@@ -52,17 +56,17 @@ class FiniteSubset(Frozen):
 
     @classmethod
     def deserialize(cls, text: str) -> "FiniteSubset":
-        lines = text.strip().splitlines()
-        if not lines:
-            raise ValueError("empty set listing: no header line")
-        magic, token, card = lines[0].split()
+        """The set that ``serialize`` writes as ``text``; a ValueError for
+        any other text."""
+        header, *lines = text.split("\n")
+        magic, _, rest = header.partition(" ")
         if magic != "folnerdom-set":
             raise ValueError("not a folnerdom set listing")
-        group = group_from_token(token)
-        elems = frozenset(group.decode(bytes.fromhex(h)) for h in lines[1:])
-        if len(elems) != int(card):
-            raise ValueError("cardinality header mismatch")
-        return cls(group, elems)
+        group = group_from_token(rest.partition(" ")[0])
+        result = cls(group, frozenset(group.decode(bytes.fromhex(h)) for h in lines[:-1]))
+        if result.serialize() != text:
+            raise ValueError("non-canonical set listing")
+        return result
 
 
 def product(A: FiniteSubset, B: FiniteSubset, cap: int | None = None) -> FiniteSubset:

@@ -10,12 +10,26 @@ from __future__ import annotations
 import time
 
 import pytest
+from hypothesis import strategies as st
 
 from folnerdom.chains import Chain, build_chain, lamplighter_folner
 from folnerdom.dominance import DominanceReport, dominance_report
-from folnerdom.groups import Lamplighter, Zd
+from folnerdom.groups import Heisenberg, Lamplighter, Zd
 from folnerdom.schedules import Schedule
 from folnerdom.sets import FiniteSubset
+
+
+GROUPS = [Zd(1), Zd(2), Heisenberg(), Lamplighter()]
+
+
+def element_strategy(group):
+    ints = st.integers(min_value=-50, max_value=50)
+    if group.kind == "zd":
+        return st.tuples(*([ints] * group.d))
+    if group.kind == "heisenberg":
+        return st.tuples(ints, ints, ints)
+    lamps = st.frozensets(st.integers(min_value=-12, max_value=12), max_size=6)
+    return st.tuples(ints, lamps)
 
 
 def z_interval(r: int) -> FiniteSubset:

@@ -9,6 +9,7 @@ import shlex
 import stat
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -575,19 +576,48 @@ def test_custom_folner_sets_must_be_symmetric(z_config, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "listing",
-    ["", "folnerdom-set zd:1 1\n01\n", "folnerdom-set zd:1 1\n0200\n", "folnerdom-set zd:1 1\n010000\n"],
-    ids=["empty-file", "truncated-element", "heisenberg-tag", "trailing-bytes"],
+    [
+        "",
+        "folnerdom-set zd:1 1\n01\n",
+        "folnerdom-set zd:1 1\n0200\n",
+        "folnerdom-set zd:1 1\n010000\n",
+        # the rest spell {-6, 0, 6}, which is listed "folnerdom-set zd:1 3\n0100\n010b\n010c\n"
+        "folnerdom-set zd:1 3\n010b\n010c\n018000\n",
+        "folnerdom-set zd:1 3\n010b\n0100\n010c\n",
+        "folnerdom-set zd:1 3\n0100\n010B\n010C\n",
+        "folnerdom-set zd:1 +3\n0100\n010b\n010c\n",
+        "folnerdom-set zd:1 3\r\n0100\r\n010b\r\n010c\r\n",
+        "folnerdom-set zd:1 3\n0100\n010b\n010c",
+        # a varint one byte past the default limit on integer digits
+        "folnerdom-set zd:1 1\n01" + "80" * 4300 + "01\n",
+    ],
+    ids=[
+        "empty-file",
+        "truncated-element",
+        "heisenberg-tag",
+        "trailing-bytes",
+        "overlong-varint",
+        "unsorted",
+        "upper-case",
+        "plus-count",
+        "crlf",
+        "no-final-newline",
+        "varint-past-the-limit",
+    ],
 )
 def test_malformed_custom_folner_file_is_usage_error(z_config, tmp_path, capsys, listing):
-    # the first two used to end in an IndexError traceback with exit 1
+    # the first two used to end in an IndexError traceback with exit 1, and
+    # from overlong-varint to no-final-newline the listings used to be read
     path = tmp_path / "F.set"
-    path.write_text(listing)
+    path.write_text(listing, newline="")
     cfg = json.loads(Path(z_config).read_text())
     cfg["folner"] = {"kind": "custom", "files": [str(path), str(path)]}
     config = write_config(tmp_path / "custom.json", cfg)
     out = tmp_path / "out"
+    start = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
         run("dominate", config, out)
+    assert time.perf_counter() - start < 1
     assert exc.value.code == 2
     assert f"error: config: folner.files: {path}: " in capsys.readouterr().err
     assert not out.exists()
@@ -647,6 +677,31 @@ def test_dominate_fails_on_a_broken_identity(z_config, tmp_path, capsys, monkeyp
     # the level certificates are still written, as for a failing level
     assert {p.name for p in out.iterdir()} == {"dominance.json", "dominance.csv"}
     assert json.loads((out / "dominance.json").read_text())["levels"][0]["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("cmd", ["sweep", "simulate"])
+def test_sweep_and_simulate_fail_on_a_broken_identity(z_config, tmp_path, capsys, monkeypatch, cmd):
+    calls = []
+
+    def broken(chain):
+        calls.append(chain)
+        return ["F_2 not inside E_2"]
+
+    monkeypatch.setattr("folnerdom.cli.check_chain_identities", broken)
+    out = tmp_path / "out"
+    assert run(cmd, z_config, out) == EXIT_FAIL
+    err = capsys.readouterr().err
+    # the sets do not depend on the tail base, so sweep checks its first chain only
+    assert len(calls) == 1
+    if cmd == "sweep":
+        assert err == "identity: F_2 not inside E_2\n"
+        # the rows are still written, as dominate writes its certificates
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 4 and all(row.endswith(",pass") for row in rows[1:])
+    else:
+        # simulate transfers nothing from the chain, as from a failing level
+        assert err == "identity: F_2 not inside E_2\ndominance certificate failed; cannot transfer\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -16,18 +16,7 @@ from folnerdom.groups import (
     require_same_group,
     word_ball,
 )
-
-GROUPS = [Zd(1), Zd(2), Heisenberg(), Lamplighter()]
-
-
-def element_strategy(group):
-    ints = st.integers(min_value=-50, max_value=50)
-    if group.kind == "zd":
-        return st.tuples(*([ints] * group.d))
-    if group.kind == "heisenberg":
-        return st.tuples(ints, ints, ints)
-    lamps = st.frozensets(st.integers(min_value=-12, max_value=12), max_size=6)
-    return st.tuples(ints, lamps)
+from conftest import GROUPS, element_strategy
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.token())
@@ -98,17 +87,97 @@ def test_decode_rejects_another_groups_tag_and_trailing_bytes(group):
     data = group.encode(group.generators[0])
     for other in (Zd, Heisenberg, Lamplighter):
         if other.tag != group.tag:
-            with pytest.raises(ValueError, match=f"bad tag for {group.kind} element"):
+            with pytest.raises(ValueError, match="non-canonical element encoding"):
                 group.decode(bytes([other.tag]) + data[1:])
-    with pytest.raises(ValueError, match="trailing bytes in element encoding"):
+    with pytest.raises(ValueError, match="non-canonical element encoding"):
         group.decode(data + b"\x00")
 
 
 @pytest.mark.parametrize("hexed", ["0300040602", "0300040202"], ids=["unsorted", "repeated"])
 def test_lamplighter_decode_rejects_unsorted_or_repeated_lamps(hexed):
     # two lamps after t = 0: 3 then 1, and 1 twice
-    with pytest.raises(ValueError, match="lamp set not strictly sorted"):
+    with pytest.raises(ValueError, match="non-canonical element encoding"):
         Lamplighter().decode(bytes.fromhex(hexed))
+
+
+@pytest.mark.parametrize(
+    "group,hexed",
+    [(Zd(1), "018000"), (Heisenberg(), "0200008000"), (Lamplighter(), "030001")],
+    ids=["zd-zero-high-digit", "heisenberg-zero-high-digit", "lamplighter-negative-count"],
+)
+def test_decode_rejects_a_second_spelling(group, hexed):
+    # these used to read as (0,), (0, 0, 0) and the identity, which are
+    # written 0100, 02000000 and 030000
+    with pytest.raises(ValueError, match="non-canonical element encoding"):
+        group.decode(bytes.fromhex(hexed))
+
+
+def canonical_by_rules(group, data: bytes) -> bool:
+    """Whether ``data`` is an encoding by the format's rules, checked apart
+    from ``encode``: the group's tag, then whole varints and no more bytes,
+    none with a zero high digit; as many ints as the identity has, or for
+    the lamplighter t, a lamp count and that many lamps in strictly
+    ascending order."""
+    if not data or data[0] != group.tag:
+        return False
+    ints, pos = [], 1
+    while pos < len(data):
+        end = pos
+        while end < len(data) and data[end] > 0x7F:
+            end += 1
+        if end == len(data) or (end > pos and data[end] == 0):
+            return False
+        z = sum((b & 0x7F) << 7 * i for i, b in enumerate(data[pos : end + 1]))
+        ints.append(-(z + 1) // 2 if z & 1 else z // 2)
+        pos = end + 1
+    if group.kind == "lamplighter":
+        lamps = ints[2:]
+        return len(ints) >= 2 and ints[1] == len(lamps) and lamps == sorted(set(lamps))
+    return len(ints) == len(group.identity)
+
+
+def spellings(group):
+    """Arbitrary bytes, the group's tag then arbitrary bytes, and the
+    encodings of elements with one byte replaced (or none: index 0 and the
+    tag itself)."""
+
+    def mutate(args):
+        element, i, value = args
+        data = bytearray(group.encode(element))
+        data[i % len(data)] = value if i else group.tag
+        return bytes(data)
+
+    return st.one_of(
+        st.binary(max_size=12),
+        st.binary(max_size=12).map(lambda b: bytes([group.tag]) + b),
+        st.tuples(element_strategy(group), st.integers(0, 40), st.integers(0, 255)).map(mutate),
+    )
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.token())
+def test_decode_accepts_exactly_what_encode_writes(group):
+    @settings(max_examples=500)
+    @given(spellings(group))
+    def inner(data):
+        try:
+            element = group.decode(data)
+        except ValueError:
+            assert not canonical_by_rules(group, data)
+        else:
+            assert group.encode(element) == data
+            assert canonical_by_rules(group, data)
+
+    inner()
+
+
+def test_decode_refuses_a_varint_past_the_digit_limit():
+    # the limit (4300 by default) is checked before the varint is read,
+    # which takes time quadratic in its length
+    for n in (4301, 200_000):
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            Zd(1).decode(b"\x01" + b"\x80" * (n - 1) + b"\x01")
+    long = b"\x01" + b"\x80" * 4299 + b"\x01"
+    assert Zd(1).decode(long) == (2 ** (7 * 4299 - 1),)
 
 
 def test_lamplighter_law_examples():

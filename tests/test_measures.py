@@ -20,7 +20,7 @@ from folnerdom.measures import (
 )
 from folnerdom.schedules import Schedule
 from folnerdom.sets import FiniteSubset
-from conftest import z_interval
+from conftest import GROUPS, element_strategy, z_interval
 
 Z = Zd(1)
 
@@ -264,3 +264,57 @@ def test_csv_roundtrip():
     assert back.truncated == u.truncated
     capped = convolve(u, u, cap=3)
     assert FinSupMeasure.deserialize_csv(capped.serialize_csv()).truncated
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.token())
+def test_every_measure_listing_reads_back(group):
+    @settings(max_examples=100)
+    @given(
+        st.dictionaries(element_strategy(group), st.integers(1, 2**70), max_size=8),
+        st.integers(0, 2**70),
+        st.booleans(),
+    )
+    def inner(num, spare, truncated):
+        mu = FinSupMeasure(group, num, sum(num.values()) + spare or 1, truncated)
+        back = FinSupMeasure.deserialize_csv(mu.serialize_csv())
+        assert dict(back.items()) == dict(mu.items()) and back.truncated == truncated
+
+    inner()
+
+
+# 1/2 at 0 and 1/6 at -1 and 1, as serialize_csv writes it
+HALF_AND_SIXTHS = (
+    "# folnerdom-measure group=zd:1 total=5/6 flag=exact\n"
+    "encoding_hex,numerator,denominator\n0100,1,2\n0101,1,6\n0102,1,6\n"
+)
+ODD_MEASURE_LISTINGS = {
+    "unreduced": HALF_AND_SIXTHS.replace("0100,1,2", "0100,2,4"),
+    "unknown-flag": HALF_AND_SIXTHS.replace("flag=exact", "flag=whatever"),
+    "wrong-total": HALF_AND_SIXTHS.replace("total=5/6", "total=1/1"),
+    "unreduced-total": HALF_AND_SIXTHS.replace("total=5/6", "total=10/12"),
+    "unsorted": HALF_AND_SIXTHS.replace("0101,1,6\n0102,1,6", "0102,1,6\n0101,1,6"),
+    "duplicate": HALF_AND_SIXTHS.replace("0101,1,6\n", "0101,1,6\n0101,1,6\n"),
+    "zero-mass": HALF_AND_SIXTHS + "0104,0,1\n",
+    "zero-denominator": HALF_AND_SIXTHS + "0104,1,0\n",
+    "plus-sign": HALF_AND_SIXTHS.replace("0100,1,2", "0100,+1,2"),
+    "spaced-hex": HALF_AND_SIXTHS.replace("0100,1,2", "01 00,1,2"),
+    "zero-high-digit": HALF_AND_SIXTHS.replace("0100,1,2\n", "").replace("0102,1,6", "0102,1,6\n018000,1,2"),
+    "crlf": HALF_AND_SIXTHS.replace("\n", "\r\n"),
+    "no-final-newline": HALF_AND_SIXTHS[:-1],
+    "column-names": HALF_AND_SIXTHS.replace("encoding_hex,", "hex,"),
+    # the uniform measure on {-1, 0, 1} is written with 1/3 at each point
+    "uniform": (
+        "# folnerdom-measure group=zd:1 total=1/1 flag=whatever\n"
+        "encoding_hex,numerator,denominator\n01 00,2,6\n0101,1,3\n0102,1,3\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", ODD_MEASURE_LISTINGS.values(), ids=ODD_MEASURE_LISTINGS)
+def test_deserialize_csv_reads_only_the_written_listing(text):
+    # each used to read as the measure it spells, the last as the uniform
+    # one; the zero denominator raised ZeroDivisionError
+    mu = FinSupMeasure.deserialize_csv(HALF_AND_SIXTHS)
+    assert dict(mu.items()) == {(0,): Fraction(1, 2), (-1,): Fraction(1, 6), (1,): Fraction(1, 6)}
+    with pytest.raises(ValueError):
+        FinSupMeasure.deserialize_csv(text)

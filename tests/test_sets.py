@@ -19,7 +19,7 @@ from folnerdom.sets import (
     power,
     product,
 )
-from conftest import z_interval, zset
+from conftest import GROUPS, element_strategy, z_interval, zset
 from lemmas import folner_ratio, temperedness_constant
 
 Z = Zd(1)
@@ -170,6 +170,42 @@ def test_serialization_roundtrip():
     back = FiniteSubset.deserialize(text)
     assert back.group == f2.group and back.elements == f2.elements
     assert text == back.serialize()
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.token())
+def test_every_listing_reads_back(group):
+    @settings(max_examples=100)
+    @given(st.frozensets(element_strategy(group), max_size=8))
+    def inner(elements):
+        S = FiniteSubset(group, elements)
+        assert FiniteSubset.deserialize(S.serialize()) == S
+
+    inner()
+
+
+# {-6, 0, 6} is listed as "folnerdom-set zd:1 3\n0100\n010b\n010c\n"
+ODD_LISTINGS = {
+    "odd": "folnerdom-set  zd:1 +3\r\n010c\n01 00\n010b\n\n",
+    "upper-case": "folnerdom-set zd:1 3\n0100\n010B\n010C\n",
+    "plus-count": "folnerdom-set zd:1 +3\n0100\n010b\n010c\n",
+    "wrong-count": "folnerdom-set zd:1 4\n0100\n010b\n010c\n",
+    "duplicate": "folnerdom-set zd:1 3\n0100\n010b\n010b\n010c\n",
+    "unsorted": "folnerdom-set zd:1 3\n010b\n0100\n010c\n",
+    "crlf": "folnerdom-set zd:1 3\r\n0100\r\n010b\r\n010c\r\n",
+    "no-final-newline": "folnerdom-set zd:1 3\n0100\n010b\n010c",
+    "extra-final-newline": "folnerdom-set zd:1 3\n0100\n010b\n010c\n\n",
+    "leading-blank-line": "\nfolnerdom-set zd:1 3\n0100\n010b\n010c\n",
+    "spaced-hex": "folnerdom-set zd:1 3\n01 00\n010b\n010c\n",
+    "zero-high-digit": "folnerdom-set zd:1 3\n010b\n010c\n018000\n",
+}
+
+
+@pytest.mark.parametrize("text", ODD_LISTINGS.values(), ids=ODD_LISTINGS)
+def test_deserialize_reads_only_the_written_listing(text):
+    # all but the wrong count used to read as {-6, 0, 6}
+    assert FiniteSubset.deserialize("folnerdom-set zd:1 3\n0100\n010b\n010c\n") == zset(-6, 0, 6)
+    with pytest.raises(ValueError):
+        FiniteSubset.deserialize(text)
 
 
 def test_extract_z():
