@@ -518,8 +518,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("command", choices=["census", "chain", "dominate", "simulate", "sweep"])
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--cap", type=_cap_flag, default=None, help="set/support size cap")
-    parser.add_argument("--depth", type=int, default=None, help="override chain depth")
+    parser.add_argument(
+        "--cap", type=_cap_flag, default=None,
+        help="size cap on any constructed set/support, on the states of the finite quotient that "
+        "simulate acts on, and on the Z/kadison_dim of its Kadison battery",
+    )
+    parser.add_argument(
+        "--depth", type=int, default=None,
+        help="chain depth, overriding schedule.depth; for census, the largest index, overriding census.max_index",
+    )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized batteries")
     args = parser.parse_args(argv)
 

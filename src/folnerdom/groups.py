@@ -35,6 +35,10 @@ overrides ``convolve`` and ``product`` with Kronecker substitution
 (Schoenhage 1982; Harvey, J. Symb. Comput. 2009); its set product is the
 support of 1_A * 1_B.
 
+A group's token (``zd:d``, ``heisenberg``, ``lamplighter``) round-trips:
+``group_from_token`` reads only what ``token()`` writes, so ``zd:01`` and
+``zd:+1`` name no group.  ``Zd`` derives its generators +-e_i from d when read.
+
 ``word_ball(group, r, cap)`` is the entry point for word balls and calls
 ``group.ball``.  The base class builds the ball by breadth-first closure
 under the generators; Heisenberg and the lamplighter use it, and it is the
@@ -175,11 +179,11 @@ class Group:
         size it reports is a lower bound ("elements or more")."""
         seen = {self.identity}
         frontier = [self.identity]
-        mul = self.mul
+        mul, generators = self.mul, self.generators
         for _ in range(radius):
             nxt = []
             for a in frontier:
-                for g in self.generators:
+                for g in generators:
                     x = mul(a, g)
                     if x not in seen:
                         if cap is not None and len(seen) >= cap:
@@ -253,17 +257,16 @@ class Zd(Group):
     tag = 0x01
 
     def __init__(self, d: int = 1):
-        if d < 1:
-            raise ValueError("dimension must be >= 1")
+        if not 1 <= d <= sys.maxsize:
+            raise ValueError(f"dimension must be between 1 and {sys.maxsize}")
         self.d = d
         self.identity = (0,) * d
-        gens = []
-        for i in range(d):
-            for s in (1, -1):
-                v = [0] * d
-                v[i] = s
-                gens.append(tuple(v))
-        self.generators = tuple(gens)
+
+    @property
+    def generators(self) -> tuple:
+        """e_1, -e_1, ..., e_d, -e_d; only the test oracle ``Group.ball`` reads them."""
+        zero = self.identity
+        return tuple(zero[:i] + (s,) + zero[i + 1 :] for i in range(self.d) for s in (1, -1))
 
     def mul(self, a, b):
         if len(a) != len(b):
@@ -276,9 +279,9 @@ class Zd(Group):
     def _rows(self, radius: int, cap: int | None) -> list[tuple[tuple, int]]:
         """The rows of the L1 ball of radius r: (head, l) for each point
         ``head`` of the first d-1 coordinates, whose row is head + (v,) for
-        v in [-l, l].  The ball is sized first in closed form,
-        sum_k 2^k C(d, k) C(r, k); a cap hit reports that exact size."""
-        size = sum(2**k * comb(self.d, k) * comb(radius, k) for k in range(self.d + 1))
+        v in [-l, l].  The ball is sized first in closed form, the sum of
+        2^k C(d, k) C(r, k) over k <= min(d, r); a cap hit reports it."""
+        size = sum(2**k * comb(self.d, k) * comb(radius, k) for k in range(min(self.d, radius) + 1))
         # the closure holds the identity before it checks the cap
         if cap is not None and size > max(cap, 1):
             raise SizeCapExceeded("word_ball", size, cap)
@@ -378,10 +381,8 @@ class Heisenberg(Group):
     kind = "heisenberg"
     tag = 0x02
     identity = (0, 0, 0)
-
-    def __init__(self):
-        # x = (1,0,0), y = (0,1,0) and their inverses
-        self.generators = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
+    # x = (1,0,0), y = (0,1,0) and their inverses
+    generators = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
 
     def mul(self, a, b):
         return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
@@ -397,13 +398,7 @@ class Lamplighter(Group):
     kind = "lamplighter"
     tag = 0x03
     identity = (0, frozenset())
-
-    def __init__(self):
-        self.generators = (
-            (1, frozenset()),
-            (-1, frozenset()),
-            (0, frozenset((0,))),
-        )
+    generators = ((1, frozenset()), (-1, frozenset()), (0, frozenset((0,))))
 
     def mul(self, a, b):
         t1, k1 = a
@@ -440,13 +435,14 @@ class Lamplighter(Group):
 
 
 def group_from_token(token: str) -> Group:
+    """The group whose ``token()`` is ``token``; any other text is a ValueError."""
     if token.startswith("zd:"):
-        return Zd(int(token.split(":", 1)[1]))
-    if token == "heisenberg":
-        return Heisenberg()
-    if token == "lamplighter":
-        return Lamplighter()
-    raise ValueError(f"unknown group token {token!r}")
+        group = Zd(int(token[3:]))
+    else:
+        group = {"heisenberg": Heisenberg(), "lamplighter": Lamplighter()}.get(token)
+    if group is None or group.token() != token:
+        raise ValueError(f"unknown group token {token!r}")
+    return group
 
 
 def require_same_group(a: Group, b: Group) -> None:
@@ -466,6 +462,4 @@ def word_ball(group: Group, radius: int, cap: int | None = None) -> frozenset:
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    if not group.generators:
-        raise ValueError("empty generating set")
     return group.ball(radius, cap)

@@ -181,6 +181,8 @@ CONFIG_ERRORS = {
         "simulate.convergence_radii does not apply to lamplighter; use simulate.convergence_indices\n"
     ),
     "matrix-rows-strings": "observable: rows must be a list of lists\n",
+    "group-zd-01": "group: unknown group token 'zd:01'\n",
+    "group-zd-1_0": "group: unknown group token 'zd:1_0'\n",
     **{
         case: "observable must be nonnegative (positive semidefinite for a matrix)\n"
         for case in ("function-value-negative", "matrix-not-psd")
@@ -329,6 +331,10 @@ CONFIG_ERRORS = {
         # each used to build 10^10000000 for some seconds, and pass
         pytest.param("chain", _note("1e10000000"), (), id="decimal-exponent-huge"),
         pytest.param("chain", _note("1e-10000000"), (), id="decimal-exponent-huge-negative"),
+        # used to be read as zd:1 and zd:10: a group token has the one
+        # spelling that chain.json writes
+        pytest.param("chain", _put("group", "zd:01"), (), id="group-zd-01"),
+        pytest.param("chain", _put("group", "zd:1_0"), (), id="group-zd-1_0"),
     ],
 )
 def test_invalid_config_is_usage_error(z_config, tmp_path, capsys, request, cmd, edit, flags):
@@ -510,6 +516,39 @@ def test_cap_hit_exits_budget(z_config, tmp_path, capsys, cmd, edit, flags, what
     out = tmp_path / "out"
     assert run(cmd, config, out, *flags) == EXIT_BUDGET
     assert capsys.readouterr().err.startswith(f"budget: {what}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "group,flags,code,err",
+    [
+        # used to end in a MemoryError: the generators, 2d tuples of length
+        # d, were built with the group, and the ball's closed form summed
+        # d + 1 terms
+        pytest.param(
+            "zd:100000", ("--cap", "1000"), EXIT_BUDGET, "budget: word_ball: needs 200001 elements, cap is 1000\n",
+            id="zd-100000-cap-1000",
+        ),
+        # used to end in an OverflowError from (0,) * d
+        pytest.param(
+            "zd:100000000000000000000", (), 2,
+            f"folnerdom: error: config: group: dimension must be between 1 and {sys.maxsize}\n", id="zd-1e20",
+        ),
+    ],
+)
+def test_huge_dimension_ends_at_once(tmp_path, capsys, group, flags, code, err):
+    config = write_config(
+        tmp_path / "big.json", {"schema": 1, "group": group, "folner": {"kind": "balls", "radii": [1, 2]}}
+    )
+    out = tmp_path / "out"
+    start = time.monotonic()
+    try:
+        got = run("chain", config, out, *flags)
+    except SystemExit as exc:
+        got = exc.code
+    assert time.monotonic() - start < 2
+    assert got == code
+    assert capsys.readouterr().err.endswith(err)
     assert not out.exists()
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -237,7 +239,7 @@ def test_word_ball_cap():
     assert "cap is 7" in str(exc.value)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_zd_ball_matches_breadth_first_closure(d):
     """Z^d enumerates its ball directly; the base-class closure is the oracle,
     for the elements and for caps below, at and above the ball size: both
@@ -350,8 +352,27 @@ def test_cardinality_biinvariance():
 
 
 def test_group_tokens_roundtrip():
+    """``group_from_token`` reads only what ``token()`` writes; the first six
+    spellings below used to name zd:1, zd:1, zd:1, zd:1, zd:10 and zd:3."""
     for g in GROUPS:
         assert group_from_token(g.token()) == g
+    for token in ("zd:+1", "zd:01", "zd: 1", "zd:1 ", "zd:1_0", "zd:\u0663", "zd:", "Heisenberg"):
+        with pytest.raises(ValueError):
+            group_from_token(token)
+
+
+def test_huge_zd_token_is_cheap_or_refused():
+    # zd:100000 used to build 2d generators of length d with the group
+    start = time.perf_counter()
+    assert group_from_token("zd:100000").d == 100000
+    assert time.perf_counter() - start < 0.05
+    with pytest.raises(ValueError, match="dimension must be between 1 and"):
+        group_from_token("zd:100000000000000000000")
+
+
+def test_zd_generator_order():
+    # the closure's capped "or more" count depends on this order
+    assert Zd(3).generators == ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
 
 
 def test_group_mismatch():
