@@ -34,9 +34,9 @@ Comp. 22, 1968): every division is exact, the pivot order is that of the
 elimination in Fractions, and the proxy it returns, divided by the
 denominator, is the same Fraction.
 
-A quotient is given by its states and q alone, and each group supplies
-its own as ``Group.quotient(m)`` (see ``groups.py``), so the quotient law
-is the group's law followed by q.
+An action is given by its group and the modulus m alone: the group
+supplies the states and q of its quotient as ``Group.quotient(m)`` (see
+``groups.py``), so the quotient law is the group's law followed by q.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .chains import Chain
+from .errors import SizeCapExceeded
 from .frozen import Frozen
 from .groups import Group, Zd
 from .measures import FinSupMeasure
@@ -241,25 +242,26 @@ def psd_order_holds(lo: Observable, hi: Observable) -> tuple[bool, Fraction]:
 
 
 class FiniteAction:
-    """Left regular representation of a finite quotient group.
+    """Left regular representation of the quotient of ``group`` mod m.
 
-    ``states`` are representatives of the quotient elements, in a fixed
-    canonical order, with ``qmap(s) == s``; ``qmap`` is the quotient
-    homomorphism.  The quotient law is ``group.mul``/``group.inv``
-    followed by ``qmap``.  The invariant probability on states is uniform.
+    ``states``, representatives with ``qmap(s) == s`` in a fixed canonical
+    order, and ``qmap``, the quotient homomorphism, are those of
+    ``group.quotient(m)``; the quotient law is ``group.mul``/``group.inv``
+    followed by ``qmap``, and the invariant probability on states is
+    uniform.  More than ``cap`` states is a cap hit, found at state cap + 1.
     """
 
-    def __init__(self, group: Group, states: Iterable, qmap: Callable):
+    def __init__(self, group: Group, m: int, cap: int | None = None):
+        if m < 1:
+            raise ValueError(f"quotient modulus must be >= 1, got {m}")
+        states, self.qmap = group.quotient(m)
         self.group = group
-        self.states = tuple(states)
+        self.states = tuple(itertools.islice(states, None if cap is None else cap + 1))
+        if cap is not None and len(self.states) > cap:
+            raise SizeCapExceeded("quotient", cap + 1, cap, "elements or more")
         self.index = {s: i for i, s in enumerate(self.states)}
-        self.qmap = qmap
-        if not self.states or len(self.index) != len(self.states):
-            raise ValueError("states must be nonempty and distinct")
-        if any(qmap(s) != s for s in self.states):
-            raise ValueError("states must be representatives with qmap(s) == s")
         self._perm_cache: dict[int, tuple[int, ...]] = {}
-        self._inverse_cache: dict[int, tuple[int, ...]] = {}
+        self._inverse = tuple(self.state_of(group.inv(s)) for s in self.states)
 
     @property
     def size(self) -> int:
@@ -279,11 +281,7 @@ class FiniteAction:
 
     def _inverse_perm(self, qi: int) -> tuple[int, ...]:
         """Permutation s -> q^{-1} s of state indices, for quotient element qi."""
-        cached = self._inverse_cache.get(qi)
-        if cached is None:
-            cached = self.perm(self.state_of(self.group.inv(self.states[qi])))
-            self._inverse_cache[qi] = cached
-        return cached
+        return self.perm(self._inverse[qi])
 
     # -- pushforwards and averages -------------------------------------
 
@@ -367,8 +365,7 @@ class FiniteAction:
 
 def zd_mod_action(d: int, m: int) -> FiniteAction:
     """Z^d acting on (Z/m)^d by translation."""
-    group = Zd(d)
-    return FiniteAction(group, *group.quotient(m))
+    return FiniteAction(Zd(d), m)
 
 
 # -- the operators of the ergodic theorem -----------------------------------

@@ -1,12 +1,12 @@
 """Envelope chains: the E_n recursion, the measure omega and its walk.
 
-A chain bundles the Folner subsequence F_n, the envelopes
+A chain is given by the Folner subsequence F_n, the envelopes
 
     E_1 = F_1,   E_n = (E_{n-1}^{N(n)-2})^{-1} F_n (E_{n-1}^{N(n)-2})^{-1},
 
-and the sub-probability measure omega = sum_{n<=K} t_n u_{E_n} truncated at
-depth K (total mass 1 - r_{K+1}; renormalizing would silently change the
-weights, and every finite-n certificate only uses indices <= n).
+and the schedule, from which it derives omega = sum_{n<=K} t_n u_{E_n}
+truncated at depth K (total mass 1 - r_{K+1}; renormalizing would silently
+change the weights, and every finite-n certificate only uses indices <= n).
 ``build_chain`` is the one place where a chain is built; given an
 extraction budget it also picks the subsequence F_n, and keeps the
 envelope it built while choosing each one.
@@ -25,7 +25,7 @@ from itertools import combinations
 
 from .errors import SizeCapExceeded
 from .frozen import Frozen
-from .groups import Group, Lamplighter
+from .groups import Lamplighter
 from .measures import FinSupMeasure, convolve, mix
 from .sets import (
     FiniteSubset,
@@ -75,23 +75,22 @@ def lamplighter_folner(n: int, cap: int | None = None) -> tuple[FiniteSubset, Fi
 
 
 class Chain(Frozen):
-    """A built chain: Folner sets F_1 .. F_K, envelopes E_1 .. E_K,
-    schedule, omega, and the size cap it was built with.  ``_walk`` (the
-    powers of omega built so far) is not compared."""
+    """A built chain.  Compared: Folner sets F_1 .. F_K, envelopes E_1 .. E_K,
+    schedule and size cap.  Derived: omega = ``build_omega(envelopes,
+    schedule)`` and its group.  Not compared: ``_walk``, omega's powers so far."""
 
-    __slots__ = ("group", "folner", "envelopes", "schedule", "omega", "cap", "_walk")
-    _fields = __slots__[:6]
+    __slots__ = ("folner", "envelopes", "schedule", "cap", "group", "omega", "_walk")
+    _fields = __slots__[:4]
 
     def __init__(
         self,
-        group: Group,
         folner: list[FiniteSubset],
         envelopes: list[FiniteSubset],
         schedule: Schedule,
-        omega: FinSupMeasure,
         cap: int | None = None,
     ):
-        self._init(group, folner, envelopes, schedule, omega, cap, [FinSupMeasure.delta(group)])
+        omega = build_omega(envelopes, schedule)
+        self._init(folner, envelopes, schedule, cap, omega.group, omega, [FinSupMeasure.delta(omega.group)])
 
     @property
     def depth(self) -> int:
@@ -177,7 +176,7 @@ def build_chain(
             raise SizeCapExceeded(what, tried + 1, tried, "candidates")
         folner.append(Fn)
         E.append(En)
-    return Chain(folner[0].group, folner, E, sched, build_omega(E, sched), cap)
+    return Chain(folner, E, sched, cap)
 
 
 def check_chain_identities(chain: Chain) -> list[str]:

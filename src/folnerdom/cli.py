@@ -37,7 +37,6 @@ import random
 import sys
 import tempfile
 from fractions import Fraction
-from itertools import islice
 from typing import TYPE_CHECKING, Sequence
 
 from .chains import Chain, build_chain, check_chain_identities, lamplighter_folner, lamplighter_ftilde
@@ -211,12 +210,7 @@ def _action_from(cfg: dict, cap: int | None) -> FiniteAction:
     from .actions import FiniteAction
 
     m = _whole(_section(cfg, "action").get("modulus", 4), "action.modulus", 1)
-    group = group_from_token(cfg["group"])
-    states, qmap = group.quotient(m)
-    states = list(islice(states, None if cap is None else cap + 1))
-    if cap is not None and len(states) > cap:
-        raise SizeCapExceeded("quotient", cap + 1, cap, "elements or more")
-    return FiniteAction(group, states, qmap)
+    return FiniteAction(group_from_token(cfg["group"]), m, cap)
 
 
 def _observable_from(spec: dict, act: FiniteAction) -> Observable:
@@ -470,8 +464,8 @@ def cmd_simulate(cfg: dict, cap: int | None, depth: int | None, seed: int) -> tu
     kad_fail = 0
     for _ in range(trials):
         raw = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(dim)]
-        sym = Observable.matrix([[raw[i][j] + raw[j][i] for j in range(dim)] for i in range(dim)])
-        kok, _ = kadison_check(kact, kpush, sym.scale(Fraction(1, 2)))
+        half_sums = tuple(tuple(raw[i][j] + raw[j][i] for j in range(dim)) for i in range(dim))
+        kok, _ = kadison_check(kact, kpush, Observable("matrix", 2, half_sums))
         kad_fail += 0 if kok else 1
     failures += kad_fail
     rows.append(f"kadison_failures,{trials},{kad_fail},1,{str(kad_fail == 0).lower()}")

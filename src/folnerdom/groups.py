@@ -59,7 +59,7 @@ for i < p.  Shorter rows, and every row when no period up to 2r + 1
 exists, are counted point by point.  The cap is checked as in ``ball``.
 
 Each group names its finite quotient mod m as ``quotient(m) -> (states,
-qmap)``, the input of ``actions.FiniteAction``.  ``qmap`` is the quotient
+qmap)``, which ``actions.FiniteAction`` reads.  ``qmap`` is the quotient
 homomorphism q; the states are group elements, one representative per
 element of the quotient with q(s) == s.  The quotient law is the group's
 own law followed by q: q * s = q(mul(q, s)) and q^-1 = q(inv(q)).  Since q
@@ -436,7 +436,7 @@ class Lamplighter(Group):
 
 def group_from_token(token: str) -> Group:
     """The group whose ``token()`` is ``token``; any other text is a ValueError."""
-    if token.startswith("zd:"):
+    if token.startswith("zd:") and token[3:].isdecimal():
         group = Zd(int(token[3:]))
     else:
         group = {"heisenberg": Heisenberg(), "lamplighter": Lamplighter()}.get(token)

@@ -112,4 +112,4 @@ def ll_report(ll_chain: Chain) -> DominanceReport:
     it convolves (omega^(2) holds 133 120 atoms) is freed with the copy
     instead of staying on the session chain."""
     c = ll_chain
-    return dominance_report(Chain(c.group, c.folner, c.envelopes, c.schedule, c.omega, c.cap), 2)
+    return dominance_report(Chain(c.folner, c.envelopes, c.schedule, c.cap), 2)

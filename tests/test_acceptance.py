@@ -226,7 +226,7 @@ def test_criterion_08_dominance_transfer(z_chain3, z_reports, ll_chain, ll_repor
         ok, _ = check_dominance(act_z, z_chain3, 2, x, z_reports[2].c_emp)
         cases += 1
         bad += 0 if ok else 1
-    act_ll = FiniteAction(L, *L.quotient(3))
+    act_ll = FiniteAction(L, 3)
     for x in _function_battery(rng, act_ll.size, 45):
         ok, _ = check_dominance(act_ll, ll_chain, 2, x, ll_report.c_emp)
         cases += 1
@@ -261,7 +261,7 @@ def test_criterion_09_convergence_and_weak11(z_reports, ll_report):
         rows = convergence_diagnostics(act_z, _averages(act_z, z_folner, x), x)
         if rows[-1][1] > tol:
             bad += 1
-    act_ll = FiniteAction(L, *L.quotient(3))
+    act_ll = FiniteAction(L, 3)
     ll_folner = [(n, act_ll.push_set(lamplighter_folner(n)[0])) for n in (2, 5, 8)]
     battery_ll = _function_battery(rng, act_ll.size, 20)
     for x in battery_ll:

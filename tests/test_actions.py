@@ -98,8 +98,8 @@ def _random_lamplighter(rng):
     "make,element",
     [
         (lambda: zd_mod_action(2, 3), _random_zd2),
-        (lambda: FiniteAction(H, *H.quotient(3)), _random_heisenberg),
-        (lambda: FiniteAction(L, *L.quotient(2)), _random_lamplighter),
+        (lambda: FiniteAction(H, 3), _random_heisenberg),
+        (lambda: FiniteAction(L, 2), _random_lamplighter),
     ],
     ids=["zd:2-mod-3", "heisenberg-mod-3", "lamplighter-mod-2"],
 )
@@ -120,7 +120,7 @@ def test_action_is_homomorphism(make, element):
         assert alpha(G.inv(g), alpha(g, x)).data == x.data
 
 
-QUOTIENTS = [FiniteAction(G, *G.quotient(m)) for G, m in ((Zd(2), 3), (H, 2), (L, 2))]
+QUOTIENTS = [FiniteAction(G, m) for G, m in ((Zd(2), 3), (H, 2), (L, 2))]
 signed_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
 
 
@@ -388,7 +388,7 @@ def test_kadison_random_functions():
 
 @pytest.mark.parametrize(
     "act",
-    [zd_mod_action(1, 5), zd_mod_action(2, 4), FiniteAction(H, *H.quotient(3))],
+    [zd_mod_action(1, 5), zd_mod_action(2, 4), FiniteAction(H, 3)],
     ids=["zd:1", "zd:2", "heisenberg"],
 )
 def test_push_ball_matches_push_set(act):
@@ -426,7 +426,7 @@ def test_convergence_exact_zero_when_period_divides():
 
 def test_convergence_lamplighter_exact_zero():
     # F~_n pushes uniformly onto the quotient when m divides n + 1
-    act = FiniteAction(L, *L.quotient(3))
+    act = FiniteAction(L, 3)
     ft = lamplighter_folner(5)[0]
     push = act.push_set(ft)
     assert set(push.data) == {Fraction(1, act.size)}
@@ -482,19 +482,31 @@ def test_check_dominance_function_and_matrix(z_chain2):
 
 
 def test_lamplighter_states_in_bit_pattern_order():
-    act = FiniteAction(L, *L.quotient(3))
+    act = FiniteAction(L, 3)
     assert act.states[0] == act.group.identity
     assert act.states[1 * 8 + 0b101] == (1, frozenset({0, 2}))
     assert act.state_of((4, frozenset({-1, 2, 3, 5}))) == 1 * 8 + 0b101
 
 
-def test_states_must_be_representatives():
-    zd = zd_mod_action(1, 4)
-    with pytest.raises(ValueError, match="representatives"):
-        FiniteAction(zd.group, [(0,), (5,)], zd.qmap)
-    with pytest.raises(ValueError, match="distinct"):
-        FiniteAction(zd.group, [(0,), (0,)], zd.qmap)
-    with pytest.raises(ValueError, match="nonempty"):
+def test_action_is_built_from_the_quotient_mod_m():
+    """The states and q are those of ``Group.quotient(m)``; a modulus below
+    1 has no quotient (tests/test_groups.py checks every group's quotient)."""
+    for G, m in ((Zd(2), 3), (H, 2), (L, 3)):
+        states, qmap = G.quotient(m)
+        act = FiniteAction(G, m)
+        assert act.states == tuple(states)
+        assert all(act.qmap(g) == qmap(g) for g in word_ball(G, 2))
+    with pytest.raises(ValueError, match="quotient modulus must be >= 1, got 0"):
         zd_mod_action(2, 0)
-    with pytest.raises(ValueError, match="nonempty"):
-        FiniteAction(L, *L.quotient(-1))
+    with pytest.raises(ValueError, match="quotient modulus must be >= 1, got -1"):
+        FiniteAction(L, -1)
+
+
+@pytest.mark.parametrize("G,m", [(Zd(2), 3), (H, 2), (L, 2)], ids=["zd:2", "heisenberg", "lamplighter"])
+def test_action_cap_is_hit_at_state_cap_plus_one(G, m):
+    size = len(tuple(G.quotient(m)[0]))
+    with pytest.raises(SizeCapExceeded) as exc:
+        FiniteAction(G, m, cap=size - 1)
+    assert (exc.value.what, exc.value.needed, exc.value.cap) == ("quotient", size, size - 1)
+    assert exc.value.unit == "elements or more"
+    assert FiniteAction(G, m, cap=size).size == size

@@ -88,6 +88,18 @@ def test_build_omega_weights(z_chain2):
     assert dict(again.items()) == dict(z_chain2.omega.items())
 
 
+def test_chain_is_rebuilt_from_its_definition(z_chain3, ll_chain):
+    """A chain is its sets, schedule and cap: the same four give an equal
+    chain, whose omega has the same numerators over the same denominator."""
+    for c in (z_chain3, ll_chain):
+        again = Chain(c.folner, c.envelopes, c.schedule, c.cap)
+        assert again == c
+        assert again.group == c.group
+        assert (again.omega.numerators, again.omega.denominator) == (c.omega.numerators, c.omega.denominator)
+    assert Chain(z_chain3.folner, z_chain3.envelopes, Schedule(3, 2, 3)) != z_chain3
+    assert "omega" not in repr(Chain(z_chain3.folner[:1], z_chain3.envelopes[:1], Schedule(depth=1)))
+
+
 def test_check_chain_identities(z_chain2, z_chain3, ll_chain):
     assert check_chain_identities(z_chain2) == []
     assert check_chain_identities(z_chain3) == []
@@ -96,7 +108,7 @@ def test_check_chain_identities(z_chain2, z_chain3, ll_chain):
 
 def test_check_chain_identities_reports_failures(z_chain2):
     F1 = z_chain2.folner[0]
-    wide = Chain(Z, [F1, z_interval(30)], z_chain2.envelopes, z_chain2.schedule, z_chain2.omega)
+    wide = Chain([F1, z_interval(30)], z_chain2.envelopes, z_chain2.schedule)
     assert check_chain_identities(wide) == [
         "F_2 not inside E_2",
         "interior containment fails at level 2",

@@ -183,6 +183,7 @@ CONFIG_ERRORS = {
     "matrix-rows-strings": "observable: rows must be a list of lists\n",
     "group-zd-01": "group: unknown group token 'zd:01'\n",
     "group-zd-1_0": "group: unknown group token 'zd:1_0'\n",
+    "group-zd-empty": "group: unknown group token 'zd:'\n",
     **{
         case: "observable must be nonnegative (positive semidefinite for a matrix)\n"
         for case in ("function-value-negative", "matrix-not-psd")
@@ -335,6 +336,8 @@ CONFIG_ERRORS = {
         # spelling that chain.json writes
         pytest.param("chain", _put("group", "zd:01"), (), id="group-zd-01"),
         pytest.param("chain", _put("group", "zd:1_0"), (), id="group-zd-1_0"),
+        # used to leak int()'s "invalid literal for int() with base 10: ''"
+        pytest.param("chain", _put("group", "zd:"), (), id="group-zd-empty"),
     ],
 )
 def test_invalid_config_is_usage_error(z_config, tmp_path, capsys, request, cmd, edit, flags):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folnerdom import cli, dominance
-from folnerdom.chains import Chain, build_chain, build_omega
+from folnerdom.chains import Chain, build_chain
 from folnerdom.dominance import (
     dominance_report,
     finite_n_lower_bound,
@@ -133,7 +133,7 @@ def _heisenberg_chain() -> Chain:
     H = Heisenberg()
     balls = [FiniteSubset(H, word_ball(H, r)) for r in (1, 2)]
     sched = Schedule(depth=2)
-    return Chain(H, balls, balls, sched, build_omega(balls, sched))
+    return Chain(balls, balls, sched)
 
 
 def test_level_densities_match_full_powers(z_chain2):

@@ -356,9 +356,27 @@ def test_group_tokens_roundtrip():
     spellings below used to name zd:1, zd:1, zd:1, zd:1, zd:10 and zd:3."""
     for g in GROUPS:
         assert group_from_token(g.token()) == g
-    for token in ("zd:+1", "zd:01", "zd: 1", "zd:1 ", "zd:1_0", "zd:\u0663", "zd:", "Heisenberg"):
+    for token in ("zd:+1", "zd:01", "zd: 1", "zd:1 ", "zd:1_0", "zd:\u0663", "Heisenberg"):
         with pytest.raises(ValueError):
             group_from_token(token)
+    # a tail that is no decimal literal is an unknown token, not int()'s
+    # message; "\u00b2".isdigit() holds, but int() refuses it
+    for token in ("zd:", "zd:x", "zd:1.5", "zd:\u00b2"):
+        with pytest.raises(ValueError) as exc:
+            group_from_token(token)
+        assert str(exc.value) == f"unknown group token {token!r}"
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.token())
+def test_quotient_states_are_distinct_representatives(group):
+    """``FiniteAction`` trusts this contract: the states of ``quotient(m)``
+    are distinct, fixed by q, and as many as the quotient has elements."""
+    for m in (1, 2, 3):
+        order = {"zd": m ** len(group.identity), "heisenberg": m**3, "lamplighter": m * 2**m}[group.kind]
+        states, qmap = group.quotient(m)
+        states = list(states)
+        assert len(set(states)) == len(states) == order
+        assert all(qmap(s) == s for s in states)
 
 
 def test_huge_zd_token_is_cheap_or_refused():

@@ -186,22 +186,24 @@ def _walk(omega: FinSupMeasure, J: int) -> list[FinSupMeasure]:
     return powers
 
 
-def _cesaro_density(omega: FinSupMeasure, F: FiniteSubset, N: int) -> tuple[dict, bool]:
-    """(1/N) sum_{j<N} d omega^(j)/d lambda on F, read through level_densities
-    on a one-level chain with F_1 = E_1 = F and N(1) = N."""
-    chain = Chain(omega.group, [F], [F], Schedule(length_base=N, depth=1), omega)
+def _cesaro_density(chain: Chain) -> tuple[dict, bool]:
+    """(1/N) sum_{j<N} d omega^(j)/d lambda on F_1, N = N(1), read through
+    level_densities at level 1 of ``chain``."""
+    F, N = chain.level(1)[0], chain.schedule.N(1)
     dens, tainted = level_densities(chain, 1)
     assert len(dens) == N
     return {g: sum(d[g] for d in dens) / N for g in F}, tainted
 
 
 def test_cesaro_density_examples():
-    u = FinSupMeasure.uniform(z_interval(1))
-    two, tainted = _cesaro_density(u, z_interval(1), 2)
+    # omega = (1/2) u_[-1,1], the tail-base-2 weight of a one-envelope chain
+    E = [z_interval(1)]
+    two, tainted = _cesaro_density(Chain([z_interval(1)], E, Schedule(2, 2, 1)))
     assert not tainted
-    assert two[(0,)] == Fraction(2, 3) and two[(1,)] == Fraction(1, 6)
-    three, _ = _cesaro_density(u, FiniteSubset.of(Z, [(0,)]), 3)
-    assert three[(0,)] == Fraction(5, 9)  # (1 + 1/3 + 3/9) / 3
+    # (1 + 1/6) / 2 at 0 and (0 + 1/6) / 2 at 1
+    assert two[(0,)] == Fraction(7, 12) and two[(1,)] == two[(-1,)] == Fraction(1, 12)
+    three, _ = _cesaro_density(Chain([FiniteSubset.of(Z, [(0,)])], E, Schedule(2, 3, 1)))
+    assert three[(0,)] == Fraction(5, 12)  # (1 + 1/6 + (1/4)(3/9)) / 3
 
 
 def test_cesaro_density_matches_direct_power_sum():
@@ -215,10 +217,13 @@ def test_cesaro_density_matches_direct_power_sum():
     ]
     N = 5
     for group, small, big, ev in cases:
+        # the tail-base-2 weights t_1 = 1/2 and t_2 = 1/4 of a two-envelope chain
+        chain = Chain([ev, ev], [small, big], Schedule(2, N, 2))
         u = mix([(Fraction(1, 2), FinSupMeasure.uniform(small)),
                  (Fraction(1, 4), FinSupMeasure.uniform(big))])
+        assert chain.omega == u
         powers = _walk(u, N - 1)
-        fast, tainted = _cesaro_density(u, ev, N)
+        fast, tainted = _cesaro_density(chain)
         assert not tainted
         for g in ev:
             assert fast[g] == sum(p.mass(g) for p in powers) / N, group.token()
