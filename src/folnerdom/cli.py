@@ -94,17 +94,24 @@ def _document(chain: Chain, **fields) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _decimal(text: str) -> Fraction:
-    """The JSON decimal ``text`` as the rational it spells, not the nearest
-    double.  An exponent of larger magnitude than the interpreter's limit on
-    integer digits is a ValueError, raised before Fraction builds 10^e, as
-    for an integer literal with more digits; a limit of 0, or none (CPython
-    before 3.10.7), bounds nothing."""
+def _decimal(value):
+    """A JSON decimal or a config string as the rational it spells, not the
+    nearest double; any other value as it is.  An exponent of larger
+    magnitude than the interpreter's limit on integer digits is a
+    ValueError, raised before Fraction builds 10^e, as for an integer
+    literal with more digits; a limit of 0, or none (CPython before
+    3.10.7), bounds nothing, and a non-integer exponent gets Fraction's own
+    error."""
+    if not isinstance(value, str):
+        return value
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    exponent = text.lower().partition("e")[2]
-    if limit and exponent and abs(int(exponent)) > limit:
+    try:
+        exponent = int(value.lower().partition("e")[2])
+    except ValueError:
+        exponent = 0
+    if limit and abs(exponent) > limit:
         raise ValueError(f"Exceeds the limit ({limit}) for the exponent of a decimal")
-    return Fraction(text)
+    return Fraction(value)
 
 
 def load_config(path: str) -> dict:
@@ -232,12 +239,12 @@ def _observable_from(spec: dict, act: FiniteAction) -> Observable:
         elif kind == "function":
             if not isinstance(spec["values"], list):
                 raise ConfigError("values must be a list")
-            x = Observable.function(spec["values"])
+            x = Observable.function(map(_decimal, spec["values"]))
         else:
             rows = spec["rows"]
             if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
                 raise ConfigError("rows must be a list of lists")
-            x = Observable.matrix(rows)
+            x = Observable.matrix([map(_decimal, row) for row in rows])
     except KeyError as exc:
         raise ConfigError(f"observable.{exc.args[0]} required for kind={kind}") from exc
     except (TypeError, ValueError, ArithmeticError) as exc:
@@ -262,7 +269,7 @@ def _simulate_params(sim: dict, group: Group) -> tuple[list, Fraction, Fraction,
     try:
         if isinstance(tol, bool) or isinstance(eps, bool):
             raise TypeError("JSON true and false are not rationals")
-        tol, eps = Fraction(tol), Fraction(eps)
+        tol, eps = Fraction(_decimal(tol)), Fraction(_decimal(eps))
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"simulate: tolerance and eps must be rationals: {exc}") from exc
     if tol < 0:
@@ -474,17 +481,18 @@ def cmd_simulate(cfg: dict, cap: int | None, depth: int | None, seed: int) -> tu
 
 
 def cmd_sweep(cfg: dict, cap: int | None, depth: int | None, seed: int) -> tuple[int, dict[str, str]]:
-    """Dominance constants across a grid of tail bases, and the chain
-    identities, checked once: E_n depends on N(n), a power of the length
-    base, and the extraction on eps_n = 2^-n, neither on the tail base, so
-    every base builds the same sets."""
+    """Dominance constants across a grid of tail bases.  The base c fixes
+    only the weights t_n = (c-1)/c^n; E_n depends on N(n) and the extraction
+    on eps_n, so the sets are built, and the chain identities checked, once,
+    and each base certifies a chain of those sets under its own schedule."""
     bases = _wholes(_section(cfg, "sweep").get("tail_bases", [2, 3, 4]), "sweep.tail_bases", 2)
+    first = dict(cfg, schedule=dict(_section(cfg, "schedule"), tail_base=bases[0]))
+    built = _build_chain(first, cap, depth)
     rows = ["tail_base,n,min_scaled,bound,c_emp,verdict"]
     worst = EXIT_PASS
     for i, c in enumerate(bases):
-        local = dict(cfg)
-        local["schedule"] = dict(_section(cfg, "schedule"), tail_base=c)
-        chain = _build_chain(local, cap, depth)
+        sched = Schedule(c, built.schedule.length_base, built.depth)
+        chain = Chain(built.folner, built.envelopes, sched, built.cap)
         reports, code = certify_levels(chain)
         worst = _worse(worst, code)
         if i == 0:

@@ -1,19 +1,18 @@
 """Finitely supported measures with exact rational masses.
 
-Internally a measure keeps integer numerators over a single shared
-denominator, so convolution loops stay in plain bigint arithmetic; masses
-are exposed as Fractions.  Support capping drops the smallest atoms
-(ties broken by canonical encoding) and permanently marks the result as a
-pointwise lower bound -- dropped mass can only weaken a ">=" certificate,
-never fake one.
+Internally a measure keeps integer numerators over one shared denominator,
+in lowest terms from its constructor, so that == compares values and
+convolution loops stay in plain bigint arithmetic; masses are exposed as
+Fractions.  Support capping drops the smallest atoms (ties broken by
+canonical encoding) and permanently marks the result as a pointwise lower
+bound -- dropped mass can only weaken a ">=" certificate, never fake one.
 
 Both convolutions take raw numerators from the group's exact kernels (see
 ``groups``), so no group law runs here: ``convolve`` from
-``group.convolve``, then applies the cap and reduces the fraction the same
-way whichever kernel ran; ``convolve_at``, at chosen points only, from
-``group.convolve_at``.  The powers of omega are walked once per chain, by
-``Chain.powers`` (see ``chains``), and read on F_n by
-``dominance.level_densities``.
+``group.convolve``, then applies the cap whichever kernel ran;
+``convolve_at``, at chosen points only, from ``group.convolve_at``.  The
+powers of omega are walked once per chain, by ``Chain.powers`` (see
+``chains``), and read on F_n by ``dominance.level_densities``.
 
 ``serialize_csv`` defines the measure listing, and ``deserialize_csv``
 reads back exactly the text that it writes: it parses the listing and
@@ -32,15 +31,19 @@ from .sets import FiniteSubset
 
 
 class FinSupMeasure(Frozen):
-    """``numerators`` maps element -> positive int over one ``denominator``;
-    ``truncated`` True: masses are a pointwise lower bound."""
+    """``numerators`` maps element -> positive int over one ``denominator``,
+    in lowest terms (the constructor divides out their gcd, so == compares
+    values); ``truncated`` True: masses are a pointwise lower bound."""
 
     __slots__ = _fields = ("group", "numerators", "denominator", "truncated")
 
     def __init__(self, group: Group, numerators: dict, denominator: int, truncated: bool = False):
         if denominator <= 0:
             raise ValueError("denominator must be positive")
-        self._init(group, numerators, denominator, truncated)
+        g = gcd(denominator, *numerators.values())
+        if g != 1:
+            numerators = {k: n // g for k, n in numerators.items()}
+        self._init(group, numerators, denominator // g, truncated)
 
     # -- constructors ---------------------------------------------------
 
@@ -158,15 +161,6 @@ def _apply_cap(group: Group, num: dict, cap: int | None) -> tuple[dict, bool]:
     return dict(order[:cap]), True
 
 
-def _reduce(num: dict, den: int) -> tuple[dict, int]:
-    g = den
-    for n in num.values():
-        g = gcd(g, n)
-        if g == 1:
-            return num, den
-    return {k: n // g for k, n in num.items()}, den // g
-
-
 def convolve(
     mu: FinSupMeasure, nu: FinSupMeasure, cap: int | None = None
 ) -> FinSupMeasure:
@@ -179,10 +173,7 @@ def convolve(
     out = mu.group.convolve(mu.numerators, nu.numerators)
     den = mu.denominator * nu.denominator
     out, dropped = _apply_cap(mu.group, out, cap)
-    out, den = _reduce(out, den)
-    return FinSupMeasure(
-        mu.group, out, den, mu.truncated or nu.truncated or dropped
-    )
+    return FinSupMeasure(mu.group, out, den, mu.truncated or nu.truncated or dropped)
 
 
 def convolve_at(mu: FinSupMeasure, nu: FinSupMeasure, points: Iterable) -> dict:

@@ -11,11 +11,12 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 
-from folnerdom import dominance
+from folnerdom import cli, dominance
 from folnerdom.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_PASS, _build_chain, load_config, main
 from folnerdom.groups import Group, Heisenberg, Lamplighter, Zd
 from folnerdom.sets import FiniteSubset
@@ -188,6 +189,15 @@ CONFIG_ERRORS = {
         case: "observable must be nonnegative (positive semidefinite for a matrix)\n"
         for case in ("function-value-negative", "matrix-not-psd")
     },
+    **{
+        f"{case}-exponent-4301": f"{where}Exceeds the limit (4300) for the exponent of a decimal\n"
+        for case, where in (
+            ("tolerance", "simulate: tolerance and eps must be rationals: "),
+            ("eps", "simulate: tolerance and eps must be rationals: "),
+            ("value", "observable: "),
+            ("row", "observable: "),
+        )
+    },
 }
 
 
@@ -332,6 +342,16 @@ CONFIG_ERRORS = {
         # each used to build 10^10000000 for some seconds, and pass
         pytest.param("chain", _note("1e10000000"), (), id="decimal-exponent-huge"),
         pytest.param("chain", _note("1e-10000000"), (), id="decimal-exponent-huge-negative"),
+        # each used to be accepted: a string reached Fraction unbounded, and
+        # "1e-10000000" took seconds there
+        pytest.param("simulate", _set("simulate", tolerance="1e-4301"), (), id="tolerance-exponent-4301"),
+        pytest.param("simulate", _set("simulate", eps="1e4301"), (), id="eps-exponent-4301"),
+        pytest.param(
+            "simulate", _observable(3, kind="function", values=["1e-4301", 0, 0]), (), id="value-exponent-4301"
+        ),
+        pytest.param(
+            "simulate", _observable(2, kind="matrix", rows=[["1e4301", 0], [0, 0]]), (), id="row-exponent-4301"
+        ),
         # used to be read as zd:1 and zd:10: a group token has the one
         # spelling that chain.json writes
         pytest.param("chain", _put("group", "zd:01"), (), id="group-zd-01"),
@@ -596,6 +616,19 @@ def test_extraction_builds_each_envelope_once(monkeypatch):
     # one for the pad [-2, 2], two for the envelope of each of radii 2, 3, 16
     assert len(calls) == 7
     assert len(chain.folner[1]) == 33 and len(chain.envelopes[1]) == 41
+
+
+@pytest.mark.parametrize("config,tail_base", [("lamplighter_depth2.json", 3), ("z_extract.json", 4)])
+def test_omega_is_in_lowest_terms(config, tail_base):
+    # over the common denominator of its weighted parts, each of these
+    # omegas has a common factor, which the measure's constructor divides out
+    cfg = load_config(str(CONFIGS / config))
+    cfg["schedule"] = dict(cfg["schedule"], tail_base=tail_base)
+    chain = _build_chain(cfg, None, None)
+    omega = chain.omega
+    assert gcd(omega.denominator, *omega.numerators.values()) == 1
+    parts = lcm(*(chain.schedule.t(n).denominator * len(E) for n, E in enumerate(chain.envelopes, 1)))
+    assert omega.denominator < parts
 
 
 def test_custom_folner_sets_must_be_symmetric(z_config, tmp_path, capsys):
@@ -944,6 +977,53 @@ def test_sweep(z_config, tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["sweep.csv"]
     printed = [line for line in capsys.readouterr().out.splitlines() if " r_N=" in line]
     assert [line.split()[:2] for line in printed] == [["tail_base=2", "n=2"], ["tail_base=3", "n=2"]]
+
+
+# the heisenberg-sweep-capped benchmark config: the cap of 4000 truncates the walk
+HEISENBERG_SWEEP = {
+    "schema": 1,
+    "group": "heisenberg",
+    "schedule": {"tail_base": 2, "length_base": 2, "depth": 2},
+    "folner": {"kind": "balls", "radii": [1, 2]},
+    "sweep": {"tail_bases": [2, 3]},
+}
+
+
+@pytest.mark.parametrize(
+    "config,flags",
+    [
+        pytest.param("z_depth3.json", ("--depth", "2"), id="z-depth-2"),
+        pytest.param("z_extract.json", (), id="extraction"),
+        pytest.param("z_extract.json", ("--cap", "60"), id="extraction-cap-60"),
+        pytest.param(None, ("--cap", "4000"), id="heisenberg-cap-4000"),
+    ],
+)
+def test_sweep_equals_dominate_at_each_tail_base(tmp_path, config, flags):
+    # sweep builds the sets once; at each tail base c its rows must be the
+    # certificates of dominate on the config with schedule.tail_base = c
+    cfg = HEISENBERG_SWEEP if config is None else json.loads((CONFIGS / config).read_text())
+    assert run("sweep", write_config(tmp_path / "sweep.json", cfg), tmp_path / "sweep", *flags) == EXIT_PASS
+    swept = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+    expected = []
+    for c in cfg.get("sweep", {}).get("tail_bases", [2, 3, 4]):
+        at_c = dict(cfg, schedule=dict(cfg["schedule"], tail_base=c))
+        assert run("dominate", write_config(tmp_path / f"{c}.json", at_c), tmp_path / str(c), *flags) == EXIT_PASS
+        for row in (tmp_path / str(c) / "dominance.csv").read_text().splitlines()[1:]:
+            n, _card_F, _card_E, _N, *certificate, _taint = row.split(",")
+            expected.append(",".join([str(c), n, *certificate]))
+    assert swept == expected
+
+
+def test_sweep_builds_its_chain_once(z_config, tmp_path, monkeypatch):
+    # each tail base used to rebuild, and re-read, every set
+    calls = []
+    build = cli.build_chain
+    monkeypatch.setattr("folnerdom.cli.build_chain", lambda *args: calls.append(args) or build(*args))
+    cfg = json.loads(Path(z_config).read_text())
+    cfg["sweep"] = {"tail_bases": [2, 3, 4]}
+    assert run("sweep", write_config(tmp_path / "sweep.json", cfg), tmp_path / "out") == EXIT_PASS
+    assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 4
+    assert len(calls) == 1
 
 
 def test_readme_diagnostics_block_is_what_the_cli_prints(tmp_path, capsys):

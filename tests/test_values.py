@@ -63,6 +63,8 @@ def test_value_semantics(name):
 def test_equal_fields_are_the_compared_values():
     assert Observable("function", 4, (2, 4)) == Observable.function([Fraction(1, 2), 1])
     assert Observable("function", 4, (2, 4)).den == 2
+    assert FinSupMeasure(Z, {(0,): 2, (1,): 4}, 6) == FinSupMeasure(Z, {(0,): 1, (1,): 2}, 3)
+    assert FinSupMeasure(Z, {(0,): 2, (1,): 4}, 6).denominator == 3
     assert FiniteSubset.of(Z, [(0,)]) != FiniteSubset.of(Z, [(1,)])
     assert FiniteSubset(Z) == FiniteSubset(Z, frozenset())
     assert Schedule() != Schedule(depth=3)
