@@ -17,10 +17,11 @@ line and exit 2, and where an OSError, from writing the files only,
 becomes exit 2 and ``error: cannot write <path>: ...``.  ``_build_chain``
 is the single place where a chain is built from a config.
 
-This module makes every certificate document: chain.json
-and dominance.json share one header (``_document``), serialize
-rationals as {"num": ..., "den": ...} string pairs (``_rat``), and CSV
-cells as "num/den" (``_cell``); floats never appear in them.  The float
+This module makes every certificate document: chain.json and
+dominance.json share one header (``_document``).  ``_rat`` and ``_cell``
+spell every value the CLI writes, in JSON and in CSV; floats never appear.
+``_csv`` writes each CSV file from rows of values, and ``census`` and
+``simulate`` read their exit codes from the rows they write.  The float
 diagnostics are computed here too and go to stdout only: ``dominate``
 prints min_scaled*|E_n|/|F_n| per level against the limit
 (1/4)(1 - 3/e^2), and ``sweep`` prints the (1-r_n)^N(n) vs e^(-r_n N(n))
@@ -37,7 +38,8 @@ import random
 import sys
 import tempfile
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .chains import Chain, build_chain, check_chain_identities, lamplighter_folner, lamplighter_ftilde
 from .dominance import DominanceReport, dominance_report
@@ -56,15 +58,34 @@ EXIT_BUDGET = 3
 # (1/4)(1 - 3/e^2): the standard-schedule limit of min_scaled*|E_n|/|F_n|
 REFERENCE_CONSTANT = 0.25 * (1 - 3 / math.e**2)
 
+# A level's DominanceReport fields in dominance.csv's column order, each also
+# its dominance.json key; only dominance.csv's header spells the last one
+# "taint".  sweep.csv writes SWEEP_FIELDS after the tail base.
+LEVEL_FIELDS = ("n", "card_F", "card_E", "N", "min_scaled", "bound", "c_emp", "verdict", "tainted")
+SWEEP_FIELDS = ("n", "min_scaled", "bound", "c_emp", "verdict")
 
-def _rat(q: Fraction | None) -> dict | str:
-    """JSON form of a rational: numerator and denominator as strings, None as "inf"."""
-    return "inf" if q is None else {"num": str(q.numerator), "den": str(q.denominator)}
+
+def _rat(v):
+    """JSON form of a value: a rational as its numerator and denominator,
+    each a string; None as "inf"; any other value as it is."""
+    if v is None:
+        return "inf"
+    return {"num": str(v.numerator), "den": str(v.denominator)} if isinstance(v, Fraction) else v
 
 
-def _cell(q: Fraction | None) -> str:
-    """CSV form of a rational: "num/den" (always with the "/1"), None as "inf"."""
-    return "inf" if q is None else f"{q.numerator}/{q.denominator}"
+def _cell(v) -> str:
+    """CSV form of a value: a rational as "num/den" (always with the "/1"),
+    None as "inf", a bool as true/false, any other value as ``str``."""
+    if v is None:
+        return "inf"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else str(v)
+
+
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text: the header line, then one line of ``_cell`` values per row."""
+    return "".join(",".join(map(_cell, row)) + "\n" for row in (header, *rows))
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -335,21 +356,15 @@ def cmd_census(cfg: dict, cap: int | None, depth: int | None, seed: int) -> tupl
     group = group_from_token(cfg["group"])
     nmax = _section(cfg, "census").get("max_index", 6) if depth is None else depth
     nmax = _whole(nmax, "census index", 1)
-    rows = ["n,card_ftilde,formula_ftilde,card_f,formula_f,match"]
-    all_match = True
-    if group.kind == "lamplighter":
-        for n in range(1, nmax + 1):
-            ft, f = lamplighter_folner(n, cap)
-            m = len(ft) == ftilde_size(n) and len(f) == fn_size(n)
-            all_match = all_match and m
-            rows.append(
-                f"{n},{len(ft)},{ftilde_size(n)},{len(f)},{fn_size(n)},{str(m).lower()}"
-            )
-    else:
-        rows = ["n,card_ball"]
-        for n in range(0, nmax + 1):
-            rows.append(f"{n},{len(word_ball(group, n, cap))}")
-    return (EXIT_PASS if all_match else EXIT_FAIL), {"census.csv": "\n".join(rows) + "\n"}
+    if group.kind != "lamplighter":
+        rows = [(n, len(word_ball(group, n, cap))) for n in range(0, nmax + 1)]
+        return EXIT_PASS, {"census.csv": _csv(("n", "card_ball"), rows)}
+    rows = []
+    for n in range(1, nmax + 1):
+        ft, f = map(len, lamplighter_folner(n, cap))
+        rows.append((n, ft, ftilde_size(n), f, fn_size(n), ft == ftilde_size(n) and f == fn_size(n)))
+    header = ("n", "card_ftilde", "formula_ftilde", "card_f", "formula_f", "match")
+    return (EXIT_PASS if all(row[-1] for row in rows) else EXIT_FAIL), {"census.csv": _csv(header, rows)}
 
 
 def cmd_chain(cfg: dict, cap: int | None, depth: int | None, seed: int) -> tuple[int, dict[str, str]]:
@@ -383,33 +398,16 @@ def cmd_dominate(cfg: dict, cap: int | None, depth: int | None, seed: int) -> tu
     chain = _build_chain(cfg, cap, depth)
     reports, worst = certify_levels(chain)
     worst = _worse(worst, _identities_code(chain))
-    csv = ["n,card_F,card_E,N,min_scaled,bound,c_emp,verdict,taint"]
-    levels = []
+    rows = [attrgetter(*LEVEL_FIELDS)(rep) for rep in reports]
+    levels = [dict(zip(LEVEL_FIELDS, map(_rat, row)), truncation_depth=chain.depth) for row in rows]
     for rep in reports:
-        csv.append(
-            f"{rep.n},{rep.card_F},{rep.card_E},{rep.N},{_cell(rep.min_scaled)},"
-            f"{_cell(rep.bound)},{_cell(rep.c_emp)},{rep.verdict},{str(rep.tainted).lower()}"
-        )
-        levels.append(
-            {
-                "n": rep.n,
-                "card_F": rep.card_F,
-                "card_E": rep.card_E,
-                "N": rep.N,
-                "min_scaled": _rat(rep.min_scaled),
-                "bound": _rat(rep.bound),
-                "c_emp": _rat(rep.c_emp),
-                "verdict": rep.verdict,
-                "tainted": rep.tainted,
-                "truncation_depth": chain.depth,
-            }
-        )
         scaled = rep.min_scaled * Fraction(rep.card_E, rep.card_F)
         print(
             f"n={rep.n} min_scaled*|E_n|/|F_n|={float(scaled):.7f} "
             f"limit (1/4)(1-3/e^2)={REFERENCE_CONSTANT:.7f}"
         )
-    return worst, {"dominance.json": _document(chain, levels=levels), "dominance.csv": "\n".join(csv) + "\n"}
+    header = (*LEVEL_FIELDS[:-1], "taint")
+    return worst, {"dominance.json": _document(chain, levels=levels), "dominance.csv": _csv(header, rows)}
 
 
 def cmd_simulate(cfg: dict, cap: int | None, depth: int | None, seed: int) -> tuple[int, dict[str, str]]:
@@ -433,7 +431,6 @@ def cmd_simulate(cfg: dict, cap: int | None, depth: int | None, seed: int) -> tu
     if x.size != act.size:
         raise ConfigError(f"observable has {x.size} states, the action has {act.size}")
     rng = random.Random(seed)
-    failures = 0
     # the convergence pushforwards come first, so that a cap their sets
     # exceed stops the run before the certificate work
     pushes = []
@@ -449,22 +446,16 @@ def cmd_simulate(cfg: dict, cap: int | None, depth: int | None, seed: int) -> tu
         print("dominance certificate failed; cannot transfer", file=sys.stderr)
         return code, {}
 
-    rows = ["check,n,value_num,value_den,ok"]
     averages = [(n, act.apply_push(push, x)) for n, push in pushes]
     diag = convergence_diagnostics(act, averages, x)
-    final_ok = diag[-1][1] <= tol
-    failures += 0 if final_ok else 1
-    for n, d in diag:
-        rows.append(f"convergence,{n},{d.numerator},{d.denominator},{str(d <= tol).lower()}")
+    rows = [("convergence", n, d.numerator, d.denominator, d <= tol) for n, d in diag]
 
     ok, slack = check_dominance(act, chain, chain.depth, x, rep.c_emp)
-    failures += 0 if ok else 1
-    rows.append(f"dominance_transfer,{chain.depth},{slack.numerator},{slack.denominator},{str(ok).lower()}")
+    rows.append(("dominance_transfer", chain.depth, slack.numerator, slack.denominator, ok))
 
     if x.kind == "function":
         _, mass, bound, wok = weak11_probe(act, averages, x, eps, rep.c_emp)
-        failures += 0 if wok else 1
-        rows.append(f"weak11_mass,0,{mass.numerator},{mass.denominator},{str(wok).lower()}")
+        rows.append(("weak11_mass", 0, mass.numerator, mass.denominator, wok))
 
     kact = zd_mod_action(1, dim)
     kpush = Observable("function", dim, (1,) * dim)  # uniform over Z/dim
@@ -472,12 +463,12 @@ def cmd_simulate(cfg: dict, cap: int | None, depth: int | None, seed: int) -> tu
     for _ in range(trials):
         raw = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(dim)]
         half_sums = tuple(tuple(raw[i][j] + raw[j][i] for j in range(dim)) for i in range(dim))
-        kok, _ = kadison_check(kact, kpush, Observable("matrix", 2, half_sums))
-        kad_fail += 0 if kok else 1
-    failures += kad_fail
-    rows.append(f"kadison_failures,{trials},{kad_fail},1,{str(kad_fail == 0).lower()}")
+        kad_fail += not kadison_check(kact, kpush, Observable("matrix", 2, half_sums))[0]
+    rows.append(("kadison_failures", trials, kad_fail, 1, kad_fail == 0))
 
-    return (EXIT_PASS if failures == 0 else EXIT_FAIL), {"simulate.csv": "\n".join(rows) + "\n"}
+    # the convergence rows before the last are diagnostics, not checks
+    code = EXIT_PASS if all(row[-1] for row in rows[len(diag) - 1 :]) else EXIT_FAIL
+    return code, {"simulate.csv": _csv(("check", "n", "value_num", "value_den", "ok"), rows)}
 
 
 def cmd_sweep(cfg: dict, cap: int | None, depth: int | None, seed: int) -> tuple[int, dict[str, str]]:
@@ -488,7 +479,7 @@ def cmd_sweep(cfg: dict, cap: int | None, depth: int | None, seed: int) -> tuple
     bases = _wholes(_section(cfg, "sweep").get("tail_bases", [2, 3, 4]), "sweep.tail_bases", 2)
     first = dict(cfg, schedule=dict(_section(cfg, "schedule"), tail_base=bases[0]))
     built = _build_chain(first, cap, depth)
-    rows = ["tail_base,n,min_scaled,bound,c_emp,verdict"]
+    rows = []
     worst = EXIT_PASS
     for i, c in enumerate(bases):
         sched = Schedule(c, built.schedule.length_base, built.depth)
@@ -498,10 +489,7 @@ def cmd_sweep(cfg: dict, cap: int | None, depth: int | None, seed: int) -> tuple
         if i == 0:
             worst = _worse(worst, _identities_code(chain))
         for rep in reports:
-            rows.append(
-                f"{c},{rep.n},{_cell(rep.min_scaled)},{_cell(rep.bound)},"
-                f"{_cell(rep.c_emp)},{rep.verdict}"
-            )
+            rows.append((c, *attrgetter(*SWEEP_FIELDS)(rep)))
             # (1-r_n)^N(n) against its limit e^(-r_n N(n))
             r = chain.schedule.r(rep.n)
             power, limit = float((1 - r) ** rep.N), math.exp(-float(r * rep.N))
@@ -509,7 +497,7 @@ def cmd_sweep(cfg: dict, cap: int | None, depth: int | None, seed: int) -> tuple
                 f"tail_base={c} n={rep.n} r_N={float(r * rep.N):.4f} (1-r)^N={power:.6f} "
                 f"e^-rN={limit:.6f} gap={abs(power - limit):.2e}"
             )
-    return worst, {"sweep.csv": "\n".join(rows) + "\n"}
+    return worst, {"sweep.csv": _csv(("tail_base", *SWEEP_FIELDS), rows)}
 
 
 def main(argv: Sequence[str] | None = None) -> int:

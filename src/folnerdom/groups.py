@@ -73,8 +73,8 @@ mod m: both laws are integer polynomials); the lamplighter maps onto
 from __future__ import annotations
 
 import sys
+from itertools import count, repeat
 from itertools import product as iproduct
-from itertools import repeat
 from math import comb, prod
 from operator import add, neg
 from operator import mul as times
@@ -170,8 +170,22 @@ class Group:
 
     def quotient(self, m: int) -> tuple[Iterable, Callable]:
         """(states, qmap) of the quotient mod m: int tuples reduced
-        coordinatewise, states in lexicographic order."""
-        return iproduct(range(m), repeat=len(self.identity)), lambda g: tuple(v % m for v in g)
+        coordinatewise, states in lexicographic order, made one at a time
+        from the base-m digits of a counter (``itertools.product`` would
+        first make range(m) a tuple)."""
+        d = len(self.identity)
+
+        def states():
+            for i in count():
+                q, digits = i, []
+                for _ in range(d):
+                    q, digit = divmod(q, m)
+                    digits.append(digit)
+                if q:  # i is m^d: every state is made
+                    return
+                yield tuple(reversed(digits))
+
+        return states(), lambda g: tuple(v % m for v in g)
 
     def ball(self, radius: int, cap: int | None) -> frozenset:
         """The word ball of ``word_ball``, by breadth-first closure under
@@ -419,19 +433,25 @@ class Lamplighter(Group):
 
     def quotient(self, m: int) -> tuple[Iterable, Callable]:
         """(Z/m) x| (Z/2)^m: states (t, lamps) with t and the lamps in
-        [0, m), ordered by t, then by the bit pattern of the lamps."""
+        [0, m), ordered by t, then by the bit pattern of the lamps.  A
+        state's lamps are the set bits of its pattern, so no step scans
+        range(m) or makes 2^m."""
 
-        def lamps_of(bits: int) -> frozenset:
-            return frozenset(k for k in range(m) if bits >> k & 1)
+        def states():
+            for t in range(m):
+                bits = 0
+                while bits.bit_length() <= m:
+                    yield (t, frozenset(k for k in range(bits.bit_length()) if bits >> k & 1))
+                    bits += 1
 
         def qmap(g):
             t, lamps = g
-            bits = 0
+            odd = set()  # the residues mod m lit an odd number of times
             for k in lamps:
-                bits ^= 1 << (k % m)
-            return (t % m, lamps_of(bits))
+                odd ^= {k % m}
+            return (t % m, frozenset(odd))
 
-        return ((t, lamps_of(bits)) for t in range(m) for bits in range(2**m)), qmap
+        return states(), qmap
 
 
 def group_from_token(token: str) -> Group:

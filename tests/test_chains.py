@@ -113,6 +113,13 @@ def test_check_chain_identities_reports_failures(z_chain2):
         "F_2 not inside E_2",
         "interior containment fails at level 2",
     ]
+    # build_chain never makes E_1 outside E_2; a hand-built chain can, and
+    # its wider E_1 also pads the interior at level 2 past F_2
+    loose = Chain(z_chain2.folner, [z_interval(30), z_chain2.envelopes[1]], z_chain2.schedule)
+    assert check_chain_identities(loose) == [
+        "E_1 not inside E_2",
+        "interior containment fails at level 2",
+    ]
 
 
 def test_interior_equality_on_z_but_not_lamplighter(z_chain2, ll_chain):

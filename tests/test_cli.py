@@ -160,6 +160,12 @@ def _observable(modulus, **spec):
     return edit
 
 
+def _quotient(group, modulus):
+    """Edit: the group and the quotient modulus; simulate builds the
+    quotient before it reads the rest of the config."""
+    return lambda cfg: cfg.update(group=group, action={"modulus": modulus})
+
+
 def _extract(radii, budget):
     """Edit: Folner balls of the given radii, picked by extraction under a budget."""
 
@@ -504,6 +510,16 @@ def test_shipped_configs_build_their_chains(name, tmp_path):
             "simulate", _lamplighter(modulus=14), ("--cap", "10"),
             "quotient: needs 11 elements or more, cap is 10\n", id="simulate-quotient-10",
         ),
+        # a quotient's states are made one at a time: at modulus 10^30 the
+        # int tuples used to be materialized (an OverflowError traceback) and
+        # the lamplighter's lamps scanned range(m)
+        *(
+            pytest.param(
+                "simulate", _quotient(group, 10**30), ("--cap", "10"),
+                "quotient: needs 11 elements or more, cap is 10\n", id=f"simulate-{group}-quotient-1e30-10",
+            )
+            for group in ("zd:1", "zd:2", "heisenberg", "lamplighter")
+        ),
         # the pairwise set product stops at the first row past the cap, so
         # 304 is a lower bound: P^-1 F_2 has 360 elements
         pytest.param(
@@ -537,7 +553,9 @@ def test_cap_hit_exits_budget(z_config, tmp_path, capsys, cmd, edit, flags, what
     edit(cfg)
     config = write_config(tmp_path / "edited.json", cfg)
     out = tmp_path / "out"
+    start = time.monotonic()
     assert run(cmd, config, out, *flags) == EXIT_BUDGET
+    assert time.monotonic() - start < 1
     assert capsys.readouterr().err.startswith(f"budget: {what}")
     assert not out.exists()
 
@@ -908,6 +926,42 @@ def test_simulate_fail_on_tight_tolerance(z_config, tmp_path):
     cfg["simulate"]["tolerance"] = "1/1000000"
     tight = write_config(tmp_path / "tight.json", cfg)
     assert run("simulate", tight, tmp_path / "o") == EXIT_FAIL
+
+
+@pytest.mark.parametrize(
+    "name,falsify,false_row",
+    [
+        pytest.param(
+            "convergence_diagnostics", lambda out: [*out[:-1], (out[-1][0], Fraction(1))],
+            "convergence,4096,1,1,", id="last-convergence",
+        ),
+        pytest.param("check_dominance", lambda out: (False, out[1]), "dominance_transfer,2,", id="transfer"),
+        pytest.param("weak11_probe", lambda out: (*out[:3], False), "weak11_mass,0,", id="weak11"),
+        pytest.param("kadison_check", lambda out: (False, out[1]), "kadison_failures,5,5,1,", id="kadison"),
+    ],
+)
+def test_simulate_exit_code_reads_its_checked_rows(z_config, tmp_path, monkeypatch, name, falsify, false_row):
+    """simulate fails exactly when a checked row of simulate.csv is false:
+    the last convergence row, dominance_transfer, weak11_mass and
+    kadison_failures.  The earlier convergence rows are diagnostics: false
+    at radii 8 and 64 here, and the run passes."""
+    from folnerdom import actions
+
+    cfg = json.loads(Path(z_config).read_text())
+    cfg["simulate"]["observable"] = {"kind": "function", "values": [1] + [0] * 7}  # writes weak11_mass
+    config = write_config(tmp_path / "function.json", cfg)
+    assert run("simulate", config, tmp_path / "before") == EXIT_PASS
+    before = (tmp_path / "before" / "simulate.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in before if row.endswith(",false")] == [
+        ["convergence", "8"], ["convergence", "64"]
+    ]
+    original = getattr(actions, name)
+    monkeypatch.setattr(actions, name, lambda *args: falsify(original(*args)))
+    out = tmp_path / "out"
+    assert run("simulate", config, out) == EXIT_FAIL
+    rows = (out / "simulate.csv").read_text().splitlines()
+    forced = [row for row in rows if row not in before]
+    assert len(forced) == 1 and forced[0].startswith(false_row) and forced[0].endswith(",false")
 
 
 def test_simulate_lamplighter(ll_config, tmp_path):

@@ -121,6 +121,21 @@ def test_zd_kernel_matches_pairwise_oracle(operands):
     assert fast == Group.convolve(group, mu.numerators, nu.numerators)
 
 
+def test_zd_kernel_at_its_slot_bound():
+    """Numerators 2^k - 1 and 2^j - 1 on dense supports {0, ..., s-1}: the
+    slot's bit count k + j + bits(s) takes every residue mod 8, so the grid
+    holds coefficients that a slot one bit shorter would overflow."""
+    for k in range(1, 18):
+        for j in range(1, 18):
+            for s in range(1, 10):
+                a = {(i,): 2**k - 1 for i in range(s)}
+                b = {(i,): 2**j - 1 for i in range(s)}
+                assert Z.convolve(a, b) == Group.convolve(Z, a, b), (k, j, s)
+    # a slot one bit short reads 31619 here
+    three = range(3)
+    assert Z.convolve({(i,): 255 for i in three}, {(i,): 127 for i in three})[(2,)] == 97155
+
+
 def test_zd_dispatch_reaches_kernel(monkeypatch):
     dense = FinSupMeasure.uniform(z_interval(50))
     sparse = FinSupMeasure.uniform(FiniteSubset.of(Z, [(-(10**6),), (0,), (10**6,)]))
@@ -168,6 +183,21 @@ def test_capped_convolution_is_lower_bound():
     # deterministic tie-breaking: same call, same support
     again = convolve(a, b, cap=5)
     assert again.numerators == capped.numerators
+
+
+def test_capped_convolution_keeps_the_same_atoms_on_both_kernels(monkeypatch):
+    """A tie at the cap boundary: the Zd kernel fills its output in the
+    order 0, 1, 2, the pairwise loop in pair order 1, 2, 0, so only the
+    tie-break by encoding makes both keep the same atoms."""
+    mu = FinSupMeasure(Z, {(1,): 1, (0,): 1}, 2)
+    nu = FinSupMeasure(Z, {(0,): 1, (1,): 1}, 2)
+    assert list(Z.convolve(mu.numerators, nu.numerators)) == [(0,), (1,), (2,)]
+    assert list(Group.convolve(Z, mu.numerators, nu.numerators)) == [(1,), (2,), (0,)]
+    kernel = convolve(mu, nu, cap=2)
+    monkeypatch.setattr(Zd, "convolve", Group.convolve)
+    loop = convolve(mu, nu, cap=2)
+    # 2 and 0 tie at mass 1/4; 2 has the larger encoding
+    assert kernel == loop == FinSupMeasure(Z, {(1,): 2, (2,): 1}, 4, True)
 
 
 def test_cap_monotone_support():

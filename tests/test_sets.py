@@ -230,6 +230,20 @@ def test_extract_budget():
         build_chain(sets, Schedule(depth=2), 2, budget=64)
 
 
+def test_extract_refuses_ratio_equal_to_eps(monkeypatch):
+    """The extraction condition is strict: a candidate whose ratio equals
+    eps is refused, and the next one is tried.  On Z a symmetric set with 0
+    has odd size, so no ratio is 1/2^n; eps is set to the ratio 8/33 of
+    z_extract.json's F = [-16, 16] (|E_2| = 41) instead."""
+    sets = [z_interval(r) for r in (1, 2, 3, 16, 17)]
+    assert build_chain(sets, Schedule(depth=2), 2, budget=64).level(2)[0] == z_interval(16)
+    monkeypatch.setattr(Schedule, "eps", lambda self, k: Fraction(8, 33))
+    assert build_chain(sets, Schedule(depth=2), 2, budget=64).level(2)[0] == z_interval(17)
+    with pytest.raises(SizeCapExceeded) as exc:
+        build_chain(sets[:-1], Schedule(depth=2), 2, budget=64)
+    assert str(exc.value) == "extraction step 2 (best ratio 8/33, budget 64): needs 4 candidates, cap is 3"
+
+
 def test_extract_first_try_trivial():
     sets = [z_interval(1), z_interval(16)]
     assert build_chain(sets, Schedule(depth=2), budget=64) == build_chain(sets, Schedule(depth=2))
